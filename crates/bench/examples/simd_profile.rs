@@ -69,11 +69,9 @@ fn main() {
     eprintln!("{n_features} features x {n_rows} rows");
 
     kernels::force_tier(Some(KernelTier::Unrolled));
-    frac_learn::tree::force_legacy_splitter(true);
     frac_learn::solver::force_unpacked_solver(true);
     profile("scalar-blocked", &train, &cfg);
     kernels::force_tier(None);
-    frac_learn::tree::force_legacy_splitter(false);
     frac_learn::solver::force_unpacked_solver(false);
     profile("vectorized", &train, &cfg);
 }

@@ -739,7 +739,7 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
 }
 
 /// One timed pooled fit + NS score bits under the currently forced kernel
-/// tier / splitter generation.
+/// tier.
 fn simd_timed(train: &Dataset, test: &Dataset, config: &FracConfig) -> (f64, Vec<f64>) {
     let plan = TrainingPlan::full(train.n_features());
     let t0 = Instant::now();
@@ -766,9 +766,10 @@ fn simd_best_of(
     best.expect("at least one rep")
 }
 
-/// A/B one family: scalar-blocked baseline (portable unrolled tier +
-/// legacy per-row splitter) vs the vectorized path (best dispatched tier +
-/// gathered splitter). Returns `(json, baseline_ns, vectorized_ns)`.
+/// A/B one family: scalar-blocked baseline (portable unrolled tier,
+/// unpacked solver) vs the vectorized path (best dispatched tier, packed
+/// solver). Both use the same split search. Returns
+/// `(json, baseline_ns, vectorized_ns)`.
 fn simd_family_json(
     name: &str,
     train: &Dataset,
@@ -777,11 +778,9 @@ fn simd_family_json(
     reps: usize,
 ) -> (String, Vec<f64>, Vec<f64>) {
     kernels::force_tier(Some(KernelTier::Unrolled));
-    frac_learn::tree::force_legacy_splitter(true);
     frac_learn::solver::force_unpacked_solver(true);
     let (base_s, base_ns) = simd_best_of(reps, train, test, config);
     let vec_tier = kernels::force_tier(None);
-    frac_learn::tree::force_legacy_splitter(false);
     frac_learn::solver::force_unpacked_solver(false);
     let (vec_s, vec_ns) = simd_best_of(reps, train, test, config);
     let speedup = base_s / vec_s;
@@ -1304,8 +1303,8 @@ fn main() {
     if run("simd") {
     // SIMD kernel tier: per-kernel throughput for every supported tier,
     // then the whole-fit A/B — scalar-blocked baseline (portable unrolled
-    // kernels + legacy per-row splitter) vs the vectorized path (best
-    // dispatched tier + gathered splitter) — on the tree_grow-bound SNP
+    // kernels, unpacked solver) vs the vectorized path (best dispatched
+    // tier, packed solver) — on the tree_grow-bound SNP
     // family and the solve-bound expression family. Runs after the timing
     // families above because the A/B forces process-global knobs.
     let avx2_ok = KernelTier::Avx2Fma.supported();

@@ -20,7 +20,53 @@ mod splitter;
 
 pub use classification::{ClassificationTree, ClassificationTreeTrainer};
 pub use regression::{RegressionTree, RegressionTreeTrainer};
-pub use splitter::force_legacy_splitter;
+
+/// The growers' split search at one node, for checking it against a
+/// reference implementation from outside the crate. Not a stable API.
+#[doc(hidden)]
+pub mod testing {
+    use super::splitter::{best_regression_split, ClassSearch, SplitScratch};
+    use crate::budget::TargetBudget;
+    use frac_dataset::DesignView;
+
+    pub use super::splitter::SplitChoice;
+
+    /// The split a classification tree grown on `x` (labels `y < arity`)
+    /// chooses at the node holding the distinct rows `samples`.
+    pub fn classification_split(
+        x: &dyn DesignView,
+        y: &[u32],
+        arity: u32,
+        samples: &[usize],
+        min_leaf: usize,
+        min_gain: f64,
+    ) -> Option<SplitChoice> {
+        let mut search = ClassSearch::new(x, y, arity as usize);
+        let rows = search.row_set(samples.iter().copied());
+        let budget = TargetBudget::unlimited();
+        match search.best_split(&rows, samples.len(), min_leaf, min_gain, &budget) {
+            Ok(choice) => choice,
+            Err(_) => unreachable!("unlimited budget cannot trip"),
+        }
+    }
+
+    /// The split a regression tree grown on `x` with targets `y` chooses at
+    /// the node holding `samples`, in that order.
+    pub fn regression_split(
+        x: &dyn DesignView,
+        y: &[f64],
+        samples: &[usize],
+        min_leaf: usize,
+        min_gain: f64,
+    ) -> Option<SplitChoice> {
+        let (mut scratch, budget) = (SplitScratch::default(), TargetBudget::unlimited());
+        let t = |s: usize| y[s];
+        match best_regression_split(samples, x, &t, min_leaf, min_gain, &mut scratch, &budget) {
+            Ok(choice) => choice,
+            Err(_) => unreachable!("unlimited budget cannot trip"),
+        }
+    }
+}
 
 /// How many node expansions a tree grower performs between cooperative
 /// budget checks. Each expansion is a full split search (O(d·m·log m)), so

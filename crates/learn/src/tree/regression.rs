@@ -98,7 +98,7 @@ impl RegressionTreeTrainer {
             });
         }
 
-        let mut scratch = SplitScratch::new(0);
+        let mut scratch = SplitScratch::default();
         let root_samples: Vec<usize> = (0..n).collect();
         nodes.push(Node::Leaf(0.0));
         let mut stack = vec![(0usize, root_samples, 0usize)];

@@ -1,121 +1,119 @@
 //! Best-split search shared by both tree flavours.
 //!
-//! For every candidate feature the node's samples are gathered into a
-//! contiguous structure-of-arrays scratch buffer — `(value, label)` pairs
-//! for classification, `(value, target)` for regression — sorted by value
-//! with an unstable total-order sort, and swept left-to-right evaluating
-//! every distinct threshold with O(1) incremental statistics: class counts
-//! for classification, first/second moments for regression. The gather
-//! reads feature values through the borrowed [`frac_dataset::ColRef`]
-//! column path, so the search runs allocation-free over owned matrices and
-//! pool views alike; the sweep itself never touches the view again. Labels
-//! and targets are cached once per node, so the per-sample closures are
-//! called `n` times per node instead of `n` times per column.
+//! **Classification** ([`ClassSearch`]) encodes the tree's design once, in
+//! one row-contiguous pass, before the first node is searched. Every column
+//! holding at most two distinct values under `==` and no NaN — each one-hot
+//! indicator, all-zero missing blocks and standardized indicators included,
+//! i.e. the entire design of a categorical-only fit — becomes a row bitset
+//! of its low-value rows. Node membership and the per-class row sets are
+//! bitsets too, so such a column is scored from integer counts alone: the
+//! left size is `popcount(col & node)` and the left count of class `c` is
+//! `popcount(col & node & class_c)`, ⌈n/64⌉ words each. The column's only
+//! threshold is `0.5·(lo + hi)`. A column whose left size is 0 or the node
+//! size is constant at that node and skipped. Columns with more values
+//! (real inputs) gather the node's `(value, label)` pairs through the
+//! borrowed [`frac_dataset::ColRef`] path, sort them with an unstable
+//! total-order sort and sweep every distinct threshold.
 //!
-//! Two-valued columns — every one-hot indicator block, i.e. the entire
-//! design of a categorical-only fit — skip the sort: a single counting
-//! pass over the gathered values evaluates the column's only candidate
-//! threshold directly. The shortcut is exact, not approximate: the split
-//! statistics at the lone distinct-value boundary are integer class counts
-//! (classification) or a two-group partition (regression), so the computed
-//! gain matches the sorted sweep bit for bit in the classification case
-//! and up to tie-group summation order in the regression case. Constant
-//! columns are likewise rejected without sorting.
+//! Both paths are exact. Their boundary statistics are integer class
+//! counts, and the entropy of a count vector is summed from memoised
+//! `-p·ln p` terms ([`EntropyTerms`]) in class order, so the gain of a
+//! split is bit-identical whichever path scored it and however the node's
+//! samples were ordered. The `-0.0`/`0.0` pair is one value under `==`
+//! and in the sweep's `v_next <= v` tie test, and the midpoint threshold
+//! does not depend on which zero represents its group.
 //!
-//! For **classification** the unstable sort is result-identical to the
-//! previous stable sort: the statistics inspected at distinct-value
-//! boundaries are integer class counts, invariant to the ordering inside
-//! a tie group (`-0.0`/`0.0` groups included — `v_next <= v` merges them
-//! and the midpoint threshold is numerically unchanged). **Regression**
-//! is equivalent only up to floating-point rounding: the boundary
-//! statistics are float prefix sums (`left_sum`/`left_sq`) whose rounding
-//! depends on the intra-tie accumulation order, so gains need not be
-//! bit-identical to a stable-sort sweep, and when two candidates' gains
-//! sit within that rounding of each other the argmax could tip either
-//! way. Within one process the result is still deterministic (one sort
-//! implementation, one gather order); the legacy-oracle test compares
-//! regression gains with a tolerance rather than bit-for-bit.
+//! **Regression** keeps the gather path for every column: targets are
+//! cached once per node, two-valued columns are evaluated in one counting
+//! pass, the rest are sorted and swept with float prefix sums. Those sums
+//! depend on the intra-tie accumulation order, so regression gains are
+//! reproducible within one process but equal to a stable-sort sweep's only
+//! up to rounding.
 //!
 //! Budget cooperation: both searches poll the [`TargetBudget`] every
-//! [`SCAN_CHECK_ELEMS`] gathered elements, so a single pathological column
-//! (or a very wide node) cannot blow past a deadline between the growers'
+//! [`SCAN_CHECK_ELEMS`] node samples scanned (a column of an `m`-sample
+//! node counts `m`, on either path), so a single pathological column (or a
+//! very wide node) cannot blow past a deadline between the growers'
 //! per-expansion checks.
-//!
-//! The previous per-row probing implementation is retained behind
-//! [`force_legacy_splitter`] as a measurement baseline for
-//! `BENCH_simd.json` and as an oracle for equivalence tests.
-
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
 use frac_dataset::DesignView;
 
-/// Elements gathered between cooperative budget polls inside the split
-/// scan. Small enough that one interval is microseconds of work, large
+/// Node samples scanned between cooperative budget polls inside the split
+/// search. Small enough that one interval is microseconds of work, large
 /// enough that the `Instant::now()` in a limited budget stays invisible.
 const SCAN_CHECK_ELEMS: usize = 4096;
 
-static FORCE_LEGACY: AtomicBool = AtomicBool::new(false);
+/// Largest count total whose `-p·ln p` terms are memoised. The table holds
+/// `t·(t+1)/2` terms for totals up to `t`, so this caps it at 65 KB per
+/// tree; larger totals, which only the few nodes of more than 128 samples
+/// produce, compute their terms directly.
+const MEMO_MAX_TOTAL: usize = 128;
 
-/// Force the pre-SIMD-tier split search (per-row probing, stable sort,
-/// per-threshold allocation). A process-global measurement knob for the
-/// `perfsnapshot` A/B harness and the legacy-vs-new equivalence tests —
-/// not a tuning parameter; the legacy path skips in-scan budget polling.
-pub fn force_legacy_splitter(on: bool) {
-    FORCE_LEGACY.store(on, Ordering::Release);
-}
-
-fn legacy_forced() -> bool {
-    FORCE_LEGACY.load(Ordering::Acquire)
-}
+/// Columns whose class counts are computed together, between the
+/// per-column gain evaluations.
+const COUNT_BLOCK: usize = 256;
 
 /// A chosen split: feature, threshold, and the impurity decrease it buys.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct SplitChoice {
+pub struct SplitChoice {
+    /// Design column the node splits on.
     pub feature: usize,
+    /// Samples with `value <= threshold` go left.
     pub threshold: f64,
+    /// Impurity decrease: entropy (nats) for classification, SSE for
+    /// regression.
     pub gain: f64,
     /// Samples going left (`value <= threshold`).
     pub n_left: usize,
 }
 
-/// Shannon entropy (nats) of a count vector.
+/// One entropy term, `-p·ln p` with `p = c / total`.
 #[inline]
-pub(crate) fn counts_entropy(counts: &[usize], total: usize) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let n = total as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.ln()
-        })
-        .sum()
+fn plogp(c: usize, total: usize) -> f64 {
+    let p = c as f64 / total as f64;
+    -p * p.ln()
 }
 
-/// Shannon entropy (nats) of the complement counts `node - left`, computed
-/// in class order without materializing the complement vector. Term order
-/// matches [`counts_entropy`] exactly, so the f64 sum is bit-identical to
-/// the old collect-then-fold path.
+/// Memoised `-p·ln p` terms for the count totals of one tree.
+///
+/// Lazily filled: a slot holding `+0.0` bits is empty, and no term is ever
+/// `+0.0` (`p ∈ (0, 1]` gives a positive term, or `-0.0` at `p = 1`).
+struct EntropyTerms {
+    cap: usize,
+    table: Vec<f64>,
+}
+
+impl EntropyTerms {
+    /// Memo for totals up to `min(n, MEMO_MAX_TOTAL)`.
+    pub fn new(n: usize) -> Self {
+        let cap = n.min(MEMO_MAX_TOTAL);
+        EntropyTerms { cap, table: vec![0.0; cap * (cap + 1) / 2] }
+    }
+
+    /// `-p·ln p` for `p = c / total`, `1 <= c <= total`; bit-identical to
+    /// computing it directly.
+    #[inline]
+    fn term(&mut self, c: usize, total: usize) -> f64 {
+        if total > self.cap {
+            return plogp(c, total);
+        }
+        let slot = &mut self.table[total * (total - 1) / 2 + c - 1];
+        if slot.to_bits() == 0 {
+            *slot = plogp(c, total);
+        }
+        *slot
+    }
+}
+
+/// Shannon entropy (nats) of a count vector, terms summed in class order.
 #[inline]
-fn residual_entropy(left: &[usize], node: &[usize], total: usize) -> f64 {
+fn counts_entropy(counts: &[usize], total: usize, terms: &mut EntropyTerms) -> f64 {
     if total == 0 {
         return 0.0;
     }
-    let n = total as f64;
-    let mut h = 0.0;
-    for (&l, &t) in left.iter().zip(node) {
-        let c = t - l;
-        if c > 0 {
-            let p = c as f64 / n;
-            h += -p * p.ln();
-        }
-    }
-    h
+    counts.iter().filter(|&&c| c > 0).map(|&c| terms.term(c, total)).sum()
 }
 
 /// Sum of squared deviations from the mean, from raw moments.
@@ -126,38 +124,6 @@ fn sse(sum: f64, sum_sq: f64, n: usize) -> f64 {
     }
     let nf = n as f64;
     (sum_sq - sum * sum / nf).max(0.0)
-}
-
-/// Scratch buffers reused across nodes to avoid per-node allocation.
-pub(crate) struct SplitScratch {
-    /// (feature value, class label) pairs for the classification scan.
-    pub cpairs: Vec<(f64, u32)>,
-    /// (feature value, regression target) pairs for the regression scan.
-    pub rpairs: Vec<(f64, f64)>,
-    /// (feature value, sample slot) pairs for the legacy search.
-    pub pairs: Vec<(f64, usize)>,
-    /// Per-class left-side counts (classification only).
-    pub left_counts: Vec<usize>,
-    /// Per-class node counts (classification only).
-    pub node_counts: Vec<usize>,
-    /// Class label of each node sample, cached once per node.
-    pub labels: Vec<u32>,
-    /// Regression target of each node sample, cached once per node.
-    pub targets: Vec<f64>,
-}
-
-impl SplitScratch {
-    pub fn new(arity: usize) -> Self {
-        SplitScratch {
-            cpairs: Vec::new(),
-            rpairs: Vec::new(),
-            pairs: Vec::new(),
-            left_counts: vec![0; arity],
-            node_counts: vec![0; arity],
-            labels: Vec::new(),
-            targets: Vec::new(),
-        }
-    }
 }
 
 /// Does `gain` at `(feature, threshold)` beat the incumbent? Gains within
@@ -171,125 +137,356 @@ fn beats(best: &Option<SplitChoice>, gain: f64, feature: usize, threshold: f64) 
     })
 }
 
-/// Best entropy-gain split for a classification node.
-///
-/// `samples` are row indices into `get(row) -> value`; `labels(row)` gives
-/// the class. Returns `Ok(None)` when no split satisfies `min_leaf` or
-/// improves entropy by more than `min_gain`; `Err` only when `budget`
-/// trips mid-scan.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn best_classification_split(
-    samples: &[usize],
-    x: &dyn DesignView,
-    label: &dyn Fn(usize) -> u32,
-    arity: usize,
+/// Number of rows in a row set.
+#[inline]
+pub(crate) fn row_count(rows: &[u64]) -> usize {
+    rows.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// `popcount(a & b)` over two equal-length bitsets.
+#[inline]
+fn and_count(a: &[u64], b: &[u64]) -> usize {
+    a.iter().zip(b).map(|(&x, &y)| (x & y).count_ones() as usize).sum()
+}
+
+/// The node a classification search is scanning.
+#[derive(Debug, Clone, Copy)]
+struct NodeScan {
+    /// Samples at the node.
+    m: usize,
+    parent_entropy: f64,
+    /// Smallest legal child, at least 1.
     min_leaf: usize,
     min_gain: f64,
-    scratch: &mut SplitScratch,
-    budget: &TargetBudget,
-) -> Result<Option<SplitChoice>, TrainError> {
-    if legacy_forced() {
-        return Ok(legacy_classification_split(
-            samples, x, label, arity, min_leaf, min_gain, scratch,
-        ));
-    }
-    let n = samples.len();
-    if n < 2 * min_leaf {
-        return Ok(None);
-    }
-    let SplitScratch { cpairs, left_counts, node_counts, labels, .. } = scratch;
-    labels.clear();
-    labels.extend(samples.iter().map(|&s| label(s)));
-    node_counts.iter_mut().for_each(|c| *c = 0);
-    for &l in labels.iter() {
-        node_counts[l as usize] += 1;
-    }
-    let parent_entropy = counts_entropy(node_counts, n);
-    if parent_entropy <= 0.0 {
-        return Ok(None); // pure node
-    }
+}
 
-    let mut best: Option<SplitChoice> = None;
-    let mut since_check = 0usize;
-    for f in 0..x.n_cols() {
-        since_check += n;
-        if since_check >= SCAN_CHECK_ELEMS {
-            budget.check()?;
-            since_check = 0;
-        }
-        let col = x.col(f);
-        cpairs.clear();
-        let (mut vmin, mut vmax) = (f64::INFINITY, f64::NEG_INFINITY);
-        for (i, &s) in samples.iter().enumerate() {
-            let v = col.get(s);
-            if v < vmin {
-                vmin = v;
-            }
-            if v > vmax {
-                vmax = v;
-            }
-            cpairs.push((v, labels[i]));
-        }
-        if vmax <= vmin {
-            continue; // constant column (±0.0 mixes included) — no threshold
-        }
+/// How the classification search scores one design column.
+#[derive(Debug, Clone, Copy)]
+enum ColKind {
+    /// One distinct value: never a threshold.
+    Constant,
+    /// Exactly two distinct values, `lo < hi`; the column's bitset marks
+    /// the `lo` rows.
+    TwoValued { lo: f64, hi: f64 },
+    /// More than two distinct values, or a NaN: gather-sort sweep.
+    Real,
+}
 
-        // Two-valued column (every one-hot indicator): the only candidate
-        // threshold sits between `vmin` and `vmax`, and its left side is
-        // exactly the `vmin` group — integer counts, so the gain below is
-        // bit-identical to the sorted sweep's.
-        left_counts.iter_mut().for_each(|c| *c = 0);
-        let (mut n_min, mut n_max) = (0usize, 0usize);
-        for &(v, l) in cpairs.iter() {
-            if v == vmin {
-                left_counts[l as usize] += 1;
-                n_min += 1;
-            } else if v == vmax {
-                n_max += 1;
+/// Classification split search over one tree's design: the per-tree column
+/// encoding, class row sets and entropy memo, plus per-node scratch.
+///
+/// Row sets (nodes, classes, columns) are bitsets of ⌈n/64⌉ words over the
+/// view's `n` rows; bits past `n` are always clear in node and class sets.
+pub(crate) struct ClassSearch<'a> {
+    x: &'a dyn DesignView,
+    y: &'a [u32],
+    words: usize,
+    kinds: Vec<ColKind>,
+    has_real: bool,
+    /// The `lo` rows of every column, word-major: word `w` of column `f`
+    /// at `[w·d + f]`, so one word of consecutive columns is contiguous.
+    col_bits: Vec<u64>,
+    /// Class `c`'s rows at `[c·words, (c+1)·words)`.
+    class_bits: Vec<u64>,
+    terms: EntropyTerms,
+    /// The current node's class-`c` rows, laid out like `class_bits`.
+    node_class: Vec<u64>,
+    node_counts: Vec<usize>,
+    left_counts: Vec<usize>,
+    /// Left class counts of the current block of columns: class `c`,
+    /// column `start + i` at `[c·COUNT_BLOCK + i]`.
+    block_counts: Vec<u32>,
+    /// The current node's samples and labels, ascending (gather path only).
+    samples: Vec<usize>,
+    labels: Vec<u32>,
+    cpairs: Vec<(f64, u32)>,
+}
+
+impl<'a> ClassSearch<'a> {
+    /// Encode `x` (labels `y < arity`) in one pass over its rows.
+    pub fn new(x: &'a dyn DesignView, y: &'a [u32], arity: usize) -> Self {
+        let (n, d) = (x.n_rows(), x.n_cols());
+        let words = n.div_ceil(64);
+        let mut col_bits = vec![0u64; d * words];
+        // Per column: row 0's value, the second distinct value (NaN until
+        // seen), and whether a third value or a NaN turned up. The rows
+        // equal to row 0's value collect in `acc`, one 64-row word at a time.
+        let mut first = vec![f64::NAN; d];
+        let mut second = vec![f64::NAN; d];
+        let mut real = vec![false; d];
+        let mut row = vec![0.0; d];
+        let mut acc = vec![0u64; d];
+        for r in 0..n {
+            x.copy_row_into(r, &mut row);
+            if r == 0 {
+                first.copy_from_slice(&row);
             }
-        }
-        if n_min + n_max == n {
-            if n_min >= min_leaf && n - n_min >= min_leaf {
-                let h_left = counts_entropy(left_counts, n_min);
-                let h_right = residual_entropy(left_counts, node_counts, n - n_min);
-                let weighted =
-                    (n_min as f64 * h_left + (n - n_min) as f64 * h_right) / n as f64;
-                let gain = parent_entropy - weighted;
-                let threshold = 0.5 * (vmin + vmax);
-                if gain > min_gain && beats(&best, gain, f, threshold) {
-                    best = Some(SplitChoice { feature: f, threshold, gain, n_left: n_min });
+            let shift = r % 64;
+            // Branch-free over the row; only a row holding a value new to
+            // some column takes the scalar pass below.
+            let mut fresh = false;
+            for ((&v, a), (&lo, &hi)) in row.iter().zip(&mut acc).zip(first.iter().zip(&second)) {
+                *a |= u64::from(v == lo) << shift;
+                fresh |= (v != lo) & (v != hi);
+            }
+            if fresh {
+                for (f, &v) in row.iter().enumerate() {
+                    if v != first[f] && v != second[f] {
+                        if second[f].is_nan() && !v.is_nan() {
+                            second[f] = v;
+                        } else {
+                            real[f] = true;
+                        }
+                    }
                 }
             }
-            continue;
+            if shift == 63 || r + 1 == n {
+                let w = r / 64;
+                for (bits, a) in col_bits[w * d..(w + 1) * d].iter_mut().zip(&mut acc) {
+                    *bits = std::mem::take(a);
+                }
+            }
+        }
+        let kinds: Vec<ColKind> = (0..d)
+            .map(|f| {
+                let (a, b) = (first[f], second[f]);
+                if real[f] || a.is_nan() {
+                    ColKind::Real
+                } else if b.is_nan() {
+                    ColKind::Constant
+                } else if a < b {
+                    ColKind::TwoValued { lo: a, hi: b }
+                } else {
+                    // The bitset marks row 0's value, the high one: flip it
+                    // to the low rows. Bits past `n` may end up set; node
+                    // sets never hold them, so no count sees them.
+                    for w in 0..words {
+                        col_bits[w * d + f] ^= !0;
+                    }
+                    ColKind::TwoValued { lo: b, hi: a }
+                }
+            })
+            .collect();
+        let mut class_bits = vec![0u64; arity * words];
+        for (r, &c) in y.iter().enumerate() {
+            class_bits[c as usize * words + r / 64] |= 1u64 << (r % 64);
+        }
+        ClassSearch {
+            x,
+            y,
+            words,
+            has_real: kinds.iter().any(|k| matches!(k, ColKind::Real)),
+            kinds,
+            col_bits,
+            class_bits,
+            terms: EntropyTerms::new(n),
+            node_class: vec![0; arity * words],
+            node_counts: vec![0; arity],
+            left_counts: vec![0; arity],
+            block_counts: vec![0; arity * COUNT_BLOCK],
+            samples: Vec::new(),
+            labels: Vec::new(),
+            cpairs: Vec::new(),
+        }
+    }
+
+    /// The row set holding `rows` (each `< n`).
+    pub fn row_set(&self, rows: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let mut set = vec![0u64; self.words];
+        for r in rows {
+            set[r / 64] |= 1u64 << (r % 64);
+        }
+        set
+    }
+
+    /// The children of the node `rows` split by `value <= threshold` on
+    /// column `feature`, as (left, right) row sets.
+    pub fn partition(&self, rows: &[u64], feature: usize, threshold: f64) -> (Vec<u64>, Vec<u64>) {
+        let col = self.x.col(feature);
+        let (mut left, mut right) = (vec![0u64; rows.len()], vec![0u64; rows.len()]);
+        for (w, &word) in rows.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                let r = w * 64 + bit.trailing_zeros() as usize;
+                let side = if col.get(r) <= threshold { &mut left } else { &mut right };
+                side[w] |= bit;
+                bits ^= bit;
+            }
+        }
+        (left, right)
+    }
+
+    /// Per-class sample counts of the node `rows`.
+    pub fn class_counts(&self, rows: &[u64]) -> Vec<usize> {
+        self.class_bits.chunks_exact(self.words).map(|c| and_count(c, rows)).collect()
+    }
+
+    /// Best entropy-gain split of the node `rows` (`m` samples). Returns
+    /// `Ok(None)` when no split satisfies `min_leaf` or improves entropy by
+    /// more than `min_gain`; `Err` only when `budget` trips mid-scan.
+    pub fn best_split(
+        &mut self,
+        rows: &[u64],
+        m: usize,
+        min_leaf: usize,
+        min_gain: f64,
+        budget: &TargetBudget,
+    ) -> Result<Option<SplitChoice>, TrainError> {
+        if m < 2 * min_leaf {
+            return Ok(None);
+        }
+        let words = self.words;
+        for (c, count) in self.node_counts.iter_mut().enumerate() {
+            let class = &self.class_bits[c * words..(c + 1) * words];
+            let node_class = &mut self.node_class[c * words..(c + 1) * words];
+            for ((nc, &cb), &rb) in node_class.iter_mut().zip(class).zip(rows) {
+                *nc = cb & rb;
+            }
+            *count = row_count(node_class);
+        }
+        let parent_entropy = counts_entropy(&self.node_counts, m, &mut self.terms);
+        if parent_entropy <= 0.0 {
+            return Ok(None); // pure node
+        }
+        if self.has_real {
+            self.samples.clear();
+            for (w, &word) in rows.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    self.samples.push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            let y = self.y;
+            self.labels.clear();
+            self.labels.extend(self.samples.iter().map(|&s| y[s]));
         }
 
-        cpairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-        left_counts.iter_mut().for_each(|c| *c = 0);
-        let mut n_left = 0usize;
-        for i in 0..n - 1 {
-            let (v, l) = cpairs[i];
-            left_counts[l as usize] += 1;
-            n_left += 1;
-            let v_next = cpairs[i + 1].0;
-            if v_next <= v {
-                continue; // not a distinct threshold
-            }
-            if n_left < min_leaf || n - n_left < min_leaf {
-                continue;
-            }
-            let h_left = counts_entropy(left_counts, n_left);
-            let h_right = residual_entropy(left_counts, node_counts, n - n_left);
-            let weighted =
-                (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
-            let gain = parent_entropy - weighted;
-            let threshold = 0.5 * (v + v_next);
-            if gain > min_gain && beats(&best, gain, f, threshold) {
-                best = Some(SplitChoice { feature: f, threshold, gain, n_left });
+        let node = NodeScan { m, parent_entropy, min_leaf: min_leaf.max(1), min_gain };
+        let mut best: Option<SplitChoice> = None;
+        let mut since_check = 0usize;
+        let d = self.kinds.len();
+        for start in (0..d).step_by(COUNT_BLOCK) {
+            let end = (start + COUNT_BLOCK).min(d);
+            self.count_block(start, end);
+            for f in start..end {
+                since_check += m;
+                if since_check >= SCAN_CHECK_ELEMS {
+                    budget.check()?;
+                    since_check = 0;
+                }
+                match self.kinds[f] {
+                    ColKind::Constant => {}
+                    ColKind::TwoValued { lo, hi } => {
+                        let mut n_left = 0;
+                        for (c, left) in self.left_counts.iter_mut().enumerate() {
+                            *left = self.block_counts[c * COUNT_BLOCK + f - start] as usize;
+                            n_left += *left;
+                        }
+                        self.consider(&mut best, node, n_left, f, 0.5 * (lo + hi));
+                    }
+                    ColKind::Real => self.sweep(&mut best, node, f),
+                }
             }
         }
-        let _ = arity;
+        Ok(best)
     }
-    Ok(best)
+
+    /// Fill `block_counts` with `popcount(col & node & class_c)` for the
+    /// columns `start..end`: one pass per (class, word) over contiguous
+    /// column words, skipping classes and words the node leaves empty.
+    fn count_block(&mut self, start: usize, end: usize) {
+        let (d, words) = (self.kinds.len(), self.words);
+        for (c, counts) in self.block_counts.chunks_exact_mut(COUNT_BLOCK).enumerate() {
+            let counts = &mut counts[..end - start];
+            counts.fill(0);
+            if self.node_counts[c] == 0 {
+                continue;
+            }
+            for w in 0..words {
+                let set = self.node_class[c * words + w];
+                if set == 0 {
+                    continue;
+                }
+                let col_words = &self.col_bits[w * d + start..w * d + end];
+                for (count, &bits) in counts.iter_mut().zip(col_words) {
+                    *count += (bits & set).count_ones();
+                }
+            }
+        }
+    }
+
+    /// Score the split whose left class counts are in `left_counts`, and
+    /// keep it if it beats `best`. A child smaller than `min_leaf` — or
+    /// empty: the column is constant at this node — rules the split out.
+    #[inline]
+    fn consider(
+        &mut self,
+        best: &mut Option<SplitChoice>,
+        node: NodeScan,
+        n_left: usize,
+        feature: usize,
+        threshold: f64,
+    ) {
+        let NodeScan { m, parent_entropy, min_leaf, min_gain } = node;
+        if n_left < min_leaf || m - n_left < min_leaf {
+            return;
+        }
+        // Both children's entropies, each summed in class order.
+        let n_right = m - n_left;
+        let (mut h_left, mut h_right) = (0.0, 0.0);
+        for (&l, &t) in self.left_counts.iter().zip(&self.node_counts) {
+            if l > 0 {
+                h_left += self.terms.term(l, n_left);
+            }
+            if t > l {
+                h_right += self.terms.term(t - l, n_right);
+            }
+        }
+        let weighted = (n_left as f64 * h_left + n_right as f64 * h_right) / m as f64;
+        let gain = parent_entropy - weighted;
+        if gain > min_gain && beats(best, gain, feature, threshold) {
+            *best = Some(SplitChoice { feature, threshold, gain, n_left });
+        }
+    }
+
+    /// Gather-sort sweep of one real column over the node's samples.
+    fn sweep(&mut self, best: &mut Option<SplitChoice>, node: NodeScan, f: usize) {
+        let x = self.x;
+        let col = x.col(f);
+        let mut cpairs = std::mem::take(&mut self.cpairs);
+        cpairs.clear();
+        let (mut vmin, mut vmax) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (&s, &l) in self.samples.iter().zip(&self.labels) {
+            let v = col.get(s);
+            vmin = vmin.min(v);
+            vmax = vmax.max(v);
+            cpairs.push((v, l));
+        }
+        if vmax > vmin {
+            cpairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            self.left_counts.iter_mut().for_each(|c| *c = 0);
+            for i in 0..node.m - 1 {
+                let (v, l) = cpairs[i];
+                self.left_counts[l as usize] += 1;
+                let v_next = cpairs[i + 1].0;
+                if v_next > v {
+                    self.consider(best, node, i + 1, f, 0.5 * (v + v_next));
+                } // else not a distinct threshold
+            }
+        } // else constant at this node (±0.0 mixes included) — no threshold
+        self.cpairs = cpairs;
+    }
+}
+
+/// Scratch buffers the regression search reuses across nodes.
+#[derive(Default)]
+pub(crate) struct SplitScratch {
+    /// (feature value, regression target) pairs.
+    rpairs: Vec<(f64, f64)>,
+    /// Regression target of each node sample, cached once per node.
+    targets: Vec<f64>,
 }
 
 /// Best variance-reduction split for a regression node. Gain is measured as
@@ -304,16 +501,11 @@ pub(crate) fn best_regression_split(
     scratch: &mut SplitScratch,
     budget: &TargetBudget,
 ) -> Result<Option<SplitChoice>, TrainError> {
-    if legacy_forced() {
-        return Ok(legacy_regression_split(
-            samples, x, target, min_leaf, min_gain, scratch,
-        ));
-    }
     let n = samples.len();
     if n < 2 * min_leaf {
         return Ok(None);
     }
-    let SplitScratch { rpairs, targets, .. } = scratch;
+    let SplitScratch { rpairs, targets } = scratch;
     targets.clear();
     targets.extend(samples.iter().map(|&s| target(s)));
     let (mut total_sum, mut total_sq) = (0.0f64, 0.0f64);
@@ -405,138 +597,6 @@ pub(crate) fn best_regression_split(
     Ok(best)
 }
 
-/// Pre-SIMD-tier classification search: per-row probing with a stable sort
-/// and a per-threshold complement-count allocation. Kept verbatim as the
-/// `BENCH_simd.json` baseline and the equivalence oracle.
-fn legacy_classification_split(
-    samples: &[usize],
-    x: &dyn DesignView,
-    label: &dyn Fn(usize) -> u32,
-    arity: usize,
-    min_leaf: usize,
-    min_gain: f64,
-    scratch: &mut SplitScratch,
-) -> Option<SplitChoice> {
-    let n = samples.len();
-    if n < 2 * min_leaf {
-        return None;
-    }
-    scratch.node_counts.iter_mut().for_each(|c| *c = 0);
-    for &s in samples {
-        scratch.node_counts[label(s) as usize] += 1;
-    }
-    let parent_entropy = counts_entropy(&scratch.node_counts, n);
-    if parent_entropy <= 0.0 {
-        return None; // pure node
-    }
-
-    let mut best: Option<SplitChoice> = None;
-    for f in 0..x.n_cols() {
-        let col = x.col(f);
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(samples.iter().map(|&s| (col.get(s), s)));
-        scratch
-            .pairs
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        scratch.left_counts.iter_mut().for_each(|c| *c = 0);
-        let mut n_left = 0usize;
-        for i in 0..n - 1 {
-            let (v, s) = scratch.pairs[i];
-            scratch.left_counts[label(s) as usize] += 1;
-            n_left += 1;
-            let v_next = scratch.pairs[i + 1].0;
-            if v_next <= v {
-                continue; // not a distinct threshold
-            }
-            if n_left < min_leaf || n - n_left < min_leaf {
-                continue;
-            }
-            let h_left = counts_entropy(&scratch.left_counts, n_left);
-            let right_counts: Vec<usize> = scratch
-                .left_counts
-                .iter()
-                .zip(&scratch.node_counts)
-                .map(|(&l, &t)| t - l)
-                .collect();
-            let h_right = counts_entropy(&right_counts, n - n_left);
-            let weighted =
-                (n_left as f64 * h_left + (n - n_left) as f64 * h_right) / n as f64;
-            let gain = parent_entropy - weighted;
-            let threshold = 0.5 * (v + v_next);
-            if gain > min_gain && beats(&best, gain, f, threshold) {
-                best = Some(SplitChoice { feature: f, threshold, gain, n_left });
-            }
-        }
-        let _ = arity;
-    }
-    best
-}
-
-/// Pre-SIMD-tier regression search; see [`legacy_classification_split`].
-fn legacy_regression_split(
-    samples: &[usize],
-    x: &dyn DesignView,
-    target: &dyn Fn(usize) -> f64,
-    min_leaf: usize,
-    min_gain: f64,
-    scratch: &mut SplitScratch,
-) -> Option<SplitChoice> {
-    let n = samples.len();
-    if n < 2 * min_leaf {
-        return None;
-    }
-    let (mut total_sum, mut total_sq) = (0.0f64, 0.0f64);
-    for &s in samples {
-        let y = target(s);
-        total_sum += y;
-        total_sq += y * y;
-    }
-    let parent_sse = sse(total_sum, total_sq, n);
-    if parent_sse <= 0.0 {
-        return None; // constant target
-    }
-
-    let mut best: Option<SplitChoice> = None;
-    for f in 0..x.n_cols() {
-        let col = x.col(f);
-        scratch.pairs.clear();
-        scratch
-            .pairs
-            .extend(samples.iter().map(|&s| (col.get(s), s)));
-        scratch
-            .pairs
-            .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-
-        let (mut left_sum, mut left_sq) = (0.0f64, 0.0f64);
-        let mut n_left = 0usize;
-        for i in 0..n - 1 {
-            let (v, s) = scratch.pairs[i];
-            let y = target(s);
-            left_sum += y;
-            left_sq += y * y;
-            n_left += 1;
-            let v_next = scratch.pairs[i + 1].0;
-            if v_next <= v {
-                continue;
-            }
-            if n_left < min_leaf || n - n_left < min_leaf {
-                continue;
-            }
-            let child_sse = sse(left_sum, left_sq, n_left)
-                + sse(total_sum - left_sum, total_sq - left_sq, n - n_left);
-            let gain = parent_sse - child_sse;
-            let threshold = 0.5 * (v + v_next);
-            if gain > min_gain && beats(&best, gain, f, threshold) {
-                best = Some(SplitChoice { feature: f, threshold, gain, n_left });
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +608,19 @@ mod tests {
         DesignMatrix::from_raw(rows.len(), n_cols, values)
     }
 
+    fn class_split_with(
+        samples: &[usize],
+        x: &dyn DesignView,
+        ys: &[u32],
+        arity: usize,
+        min_leaf: usize,
+        budget: &TargetBudget,
+    ) -> Result<Option<SplitChoice>, TrainError> {
+        let mut search = ClassSearch::new(x, ys, arity);
+        let rows = search.row_set(samples.iter().copied());
+        search.best_split(&rows, samples.len(), min_leaf, 1e-12, budget)
+    }
+
     fn class_split(
         samples: &[usize],
         x: &dyn DesignView,
@@ -555,18 +628,7 @@ mod tests {
         arity: usize,
         min_leaf: usize,
     ) -> Option<SplitChoice> {
-        let mut scratch = SplitScratch::new(arity);
-        best_classification_split(
-            samples,
-            x,
-            &|s| ys[s],
-            arity,
-            min_leaf,
-            1e-12,
-            &mut scratch,
-            &TargetBudget::unlimited(),
-        )
-        .unwrap()
+        class_split_with(samples, x, ys, arity, min_leaf, &TargetBudget::unlimited()).unwrap()
     }
 
     fn reg_split(
@@ -575,14 +637,13 @@ mod tests {
         ys: &dyn Fn(usize) -> f64,
         min_leaf: usize,
     ) -> Option<SplitChoice> {
-        let mut scratch = SplitScratch::new(0);
         best_regression_split(
             samples,
             x,
             ys,
             min_leaf,
             1e-12,
-            &mut scratch,
+            &mut SplitScratch::default(),
             &TargetBudget::unlimited(),
         )
         .unwrap()
@@ -590,20 +651,24 @@ mod tests {
 
     #[test]
     fn entropy_of_counts() {
-        assert_eq!(counts_entropy(&[4, 0], 4), 0.0);
-        assert!((counts_entropy(&[2, 2], 4) - 2.0f64.ln()).abs() < 1e-12);
+        let mut terms = EntropyTerms::new(8);
+        assert_eq!(counts_entropy(&[4, 0], 4, &mut terms), 0.0);
+        assert!((counts_entropy(&[2, 2], 4, &mut terms) - 2.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]
-    fn residual_entropy_matches_materialized_complement() {
-        let node = [7usize, 3, 5, 0];
-        let left = [2usize, 3, 1, 0];
-        let right: Vec<usize> = node.iter().zip(&left).map(|(&t, &l)| t - l).collect();
-        let total: usize = right.iter().sum();
-        assert_eq!(
-            residual_entropy(&left, &node, total).to_bits(),
-            counts_entropy(&right, total).to_bits()
-        );
+    fn memoised_terms_match_direct_terms_past_the_cap() {
+        // Totals inside and outside the memo give the directly computed
+        // term, on first use and on reuse.
+        let mut terms = EntropyTerms::new(MEMO_MAX_TOTAL + 10);
+        for total in [1, 2, 3, 64, MEMO_MAX_TOTAL, MEMO_MAX_TOTAL + 1, MEMO_MAX_TOTAL + 9] {
+            for c in [1, total / 2 + 1, total] {
+                for _ in 0..2 {
+                    assert_eq!(terms.term(c, total).to_bits(), plogp(c, total).to_bits());
+                }
+            }
+        }
+        assert_eq!(terms.table.len(), MEMO_MAX_TOTAL * (MEMO_MAX_TOTAL + 1) / 2);
     }
 
     #[test]
@@ -617,6 +682,35 @@ mod tests {
         assert!((choice.threshold - 0.55).abs() < 1e-12);
         assert!((choice.gain - 2.0f64.ln()).abs() < 1e-12);
         assert_eq!(choice.n_left, 2);
+    }
+
+    #[test]
+    fn two_valued_columns_take_the_bitset_path() {
+        // Indicators with either value in row 0, signed zeros, a constant
+        // column, and a real column; only the last one is gathered.
+        let x = matrix(&[
+            &[0.0, 1.0, -0.0, 3.0, 0.5],
+            &[1.0, 0.0, 0.0, 3.0, 0.1],
+            &[0.0, 0.0, 2.0, 3.0, 0.9],
+            &[1.0, 1.0, -0.0, 3.0, 0.2],
+        ]);
+        let search = ClassSearch::new(&x, &[0, 1, 0, 1], 2);
+        let kinds: Vec<String> = search.kinds.iter().map(|k| format!("{k:?}")).collect();
+        assert_eq!(
+            kinds,
+            [
+                "TwoValued { lo: 0.0, hi: 1.0 }",
+                "TwoValued { lo: 0.0, hi: 1.0 }",
+                "TwoValued { lo: -0.0, hi: 2.0 }",
+                "Constant",
+                "Real"
+            ]
+        );
+        // Low rows: {0, 2}, {1, 2} (row 0 held the high value), {0, 1, 3};
+        // one word per column at n = 4.
+        let low_rows: Vec<u64> = search.col_bits[..3].iter().map(|w| w & 0b1111).collect();
+        assert_eq!(low_rows, [0b0101, 0b0110, 0b1011]);
+        assert!(search.has_real);
     }
 
     #[test]
@@ -683,149 +777,8 @@ mod tests {
         assert!(a.is_some());
     }
 
-    #[test]
-    fn gathered_scan_matches_legacy_oracle() {
-        // Dense tie groups, signed zeros, and multiple competitive features:
-        // the gathered unstable-sort scan must reproduce the legacy result
-        // — bit-exactly for classification (integer counts are invariant
-        // to intra-tie order), within rounding tolerance for regression
-        // gains (float prefix sums are not; see the module docs).
-        let rows: Vec<Vec<f64>> = (0..48)
-            .map(|i| {
-                let a = ((i * 7) % 12) as f64 * 0.25;
-                let b = if i % 5 == 0 { -0.0 } else { ((i * 3) % 4) as f64 };
-                let c = ((i * 13) % 48) as f64 / 7.0;
-                vec![a, b, c]
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = matrix(&refs);
-        let ys: Vec<u32> = (0..48).map(|i| ((i * 11) % 3) as u32).collect();
-        let ts: Vec<f64> = (0..48).map(|i| ((i * 17) % 9) as f64 * 0.5).collect();
-        let samples: Vec<usize> = (0..48).collect();
-        for min_leaf in [1usize, 2, 5] {
-            let mut s = SplitScratch::new(3);
-            let new_c = best_classification_split(
-                &samples,
-                &x,
-                &|s| ys[s],
-                3,
-                min_leaf,
-                1e-12,
-                &mut s,
-                &TargetBudget::unlimited(),
-            )
-            .unwrap();
-            let old_c = legacy_classification_split(
-                &samples,
-                &x,
-                &|s| ys[s],
-                3,
-                min_leaf,
-                1e-12,
-                &mut s,
-            );
-            assert_eq!(new_c, old_c, "classification, min_leaf={min_leaf}");
-            let new_r = best_regression_split(
-                &samples,
-                &x,
-                &|s| ts[s],
-                min_leaf,
-                1e-12,
-                &mut s,
-                &TargetBudget::unlimited(),
-            )
-            .unwrap();
-            let old_r =
-                legacy_regression_split(&samples, &x, &|s| ts[s], min_leaf, 1e-12, &mut s);
-            if let (Some(a), Some(b)) = (new_c, old_c) {
-                assert_eq!(a.gain.to_bits(), b.gain.to_bits());
-            }
-            assert_eq!(new_r.is_some(), old_r.is_some(), "regression, min_leaf={min_leaf}");
-            if let (Some(a), Some(b)) = (new_r, old_r) {
-                assert_eq!(
-                    (a.feature, a.threshold.to_bits(), a.n_left),
-                    (b.feature, b.threshold.to_bits(), b.n_left),
-                    "regression, min_leaf={min_leaf}"
-                );
-                assert!(
-                    (a.gain - b.gain).abs() <= 1e-9 * (1.0 + b.gain.abs()),
-                    "regression gain, min_leaf={min_leaf}: {} vs {}",
-                    a.gain,
-                    b.gain
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn binary_fast_path_matches_legacy_oracle() {
-        // Two-valued columns (one-hot indicators, raw or standardized) take
-        // the counting fast path; it must reproduce the legacy stable-sort
-        // result exactly, gain bits included — for classification (integer
-        // counts are order-free) and regression (gather order equals the
-        // stable sort's tie order).
-        let rows: Vec<Vec<f64>> = (0..40)
-            .map(|i| {
-                let hot = (i * 7) % 3; // one-hot block of a ternary feature
-                vec![
-                    if hot == 0 { 1.0 } else { 0.0 },
-                    if hot == 1 { 1.0 } else { 0.0 },
-                    if hot == 2 { 1.0 } else { 0.0 },
-                    // A standardized-looking indicator and a constant column.
-                    if i % 4 == 0 { 1.7320508 } else { -0.5773503 },
-                    2.5,
-                ]
-            })
-            .collect();
-        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-        let x = matrix(&refs);
-        let ys: Vec<u32> = (0..40).map(|i| ((i * 5) % 3) as u32).collect();
-        let ts: Vec<f64> = (0..40).map(|i| ((i * 13) % 7) as f64 * 0.3 - 1.0).collect();
-        let samples: Vec<usize> = (0..40).collect();
-        for min_leaf in [1usize, 3, 8] {
-            let mut s = SplitScratch::new(3);
-            let new_c = best_classification_split(
-                &samples,
-                &x,
-                &|s| ys[s],
-                3,
-                min_leaf,
-                1e-12,
-                &mut s,
-                &TargetBudget::unlimited(),
-            )
-            .unwrap();
-            let old_c = legacy_classification_split(
-                &samples,
-                &x,
-                &|s| ys[s],
-                3,
-                min_leaf,
-                1e-12,
-                &mut s,
-            );
-            assert_eq!(new_c, old_c, "classification, min_leaf={min_leaf}");
-            let new_r = best_regression_split(
-                &samples,
-                &x,
-                &|s| ts[s],
-                min_leaf,
-                1e-12,
-                &mut s,
-                &TargetBudget::unlimited(),
-            )
-            .unwrap();
-            let old_r =
-                legacy_regression_split(&samples, &x, &|s| ts[s], min_leaf, 1e-12, &mut s);
-            assert_eq!(new_r, old_r, "regression, min_leaf={min_leaf}");
-            if let (Some(a), Some(b)) = (new_c, old_c) {
-                assert_eq!(a.gain.to_bits(), b.gain.to_bits());
-            }
-            if let (Some(a), Some(b)) = (new_r, old_r) {
-                assert_eq!(a.gain.to_bits(), b.gain.to_bits());
-            }
-        }
+    fn expired() -> TargetBudget {
+        crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target()
     }
 
     #[test]
@@ -841,19 +794,29 @@ mod tests {
         let x = matrix(&refs);
         let ys: Vec<u32> = (0..n_rows).map(|i| (i % 2) as u32).collect();
         let samples: Vec<usize> = (0..n_rows).collect();
-        let budget =
-            crate::budget::RunBudget::with_deadline(std::time::Duration::ZERO).start_target();
-        let mut s = SplitScratch::new(2);
-        let r = best_classification_split(
-            &samples,
-            &x,
-            &|s| ys[s],
-            2,
-            1,
-            1e-12,
-            &mut s,
-            &budget,
-        );
+        let r = class_split_with(&samples, &x, &ys, 2, 1, &expired());
         assert!(r.is_err(), "expired budget must abort the scan");
+    }
+
+    #[test]
+    fn wide_two_valued_scan_trips_expired_budget() {
+        // The bitset path polls at the same cadence as the gathered one:
+        // an all-indicator design wider than one poll interval must abort.
+        let n_rows = 64usize;
+        let n_cols = 80usize; // 64 * 80 > SCAN_CHECK_ELEMS
+        let rows: Vec<Vec<f64>> = (0..n_rows)
+            .map(|i| (0..n_cols).map(|j| ((i * 31 + j * 17) % 3 == 0) as u8 as f64).collect())
+            .collect();
+        let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let x = matrix(&refs);
+        let ys: Vec<u32> = (0..n_rows).map(|i| (i % 2) as u32).collect();
+        let samples: Vec<usize> = (0..n_rows).collect();
+        let search = ClassSearch::new(&x, &ys, 2);
+        assert!(search.kinds.iter().all(|k| matches!(k, ColKind::TwoValued { .. })));
+        assert!(!search.has_real);
+        let r = class_split_with(&samples, &x, &ys, 2, 1, &expired());
+        assert!(r.is_err(), "expired budget must abort the bitset scan");
+        let ok = class_split_with(&samples, &x, &ys, 2, 1, &TargetBudget::unlimited());
+        assert!(ok.is_ok());
     }
 }

@@ -61,6 +61,10 @@ cargo test -q -p frac-core --test serve_fuzz
 # bit-identically to TSV-fitted ones at any thread count.
 cargo test -q -p frac-dataset --test fcb_corruption
 cargo test -q -p frac-core --test fcb_equivalence
+# Benchmark guarantee: fracbench is its own workspace, so the runs above
+# never build it. Its tests keep BENCHMARK.json in step with the metrics
+# the benchmark reports, and check its statistics and input generation.
+cargo test --release --offline --manifest-path fracbench/Cargo.toml
 
 # Deadline smoke: a 2s wall-clock budget on the SNP surrogate must exit 0
 # within the budget plus slack, save a scored model, print a health
