@@ -640,7 +640,7 @@ fn serve_family_json(train: &Dataset, test: &Dataset, config: &FracConfig, reps:
     let summary = daemon.join().expect("daemon thread");
 
     // One-shot reference: what `frac score --model` pays per record — load
-    // the model (CRC + text parse) and score a single row.
+    // the model (CRC + decode) and score a single row.
     let one_row = test.select_rows(&[0]);
     let mut oneshot_s = f64::INFINITY;
     for _ in 0..reps.max(2) {

@@ -118,11 +118,15 @@ USAGE:
         frac pack --data train.tsv --out train.fcb
         frac train --train train.fcb --out model.frac
 
-  frac info --data FILE.fcb
+  frac info --data FILE.fcb|MODEL.frac
       Validate an FCB file (magic, version, geometry, and every CRC) and
       print its header: rows, features, schema fingerprint, file
-      checksum, and per-column kind/missing-count/CRC. Example:
+      checksum, and per-column kind/missing-count/CRC. Given a model
+      file (recognized by its leading bytes), load and verify it and
+      print its format version, planned and surviving targets, shard
+      restarts, predictor kinds, size and checksum. Examples:
         frac info --data train.fcb
+        frac info --data model.frac
 
   Every file flag that reads a data set (--train, --test, --data,
   --schema) accepts either format: files ending in .fcb are
@@ -166,9 +170,9 @@ pub enum Command {
         /// Rows buffered per write chunk (the encode memory budget).
         chunk_rows: usize,
     },
-    /// `frac info` — validate an FCB file and print its header.
+    /// `frac info` — validate an FCB or model file and print its header.
     Info {
-        /// FCB file to inspect.
+        /// FCB or model file to inspect.
         data: PathBuf,
     },
     /// `frac generate`

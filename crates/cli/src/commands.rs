@@ -92,9 +92,19 @@ fn pack(data: &std::path::Path, out: &std::path::Path, chunk_rows: usize) -> Res
     Ok(())
 }
 
-/// `frac info`: validate an FCB file (opening runs the full integrity
-/// pass) and dump its header and checksums as TSV.
+/// `frac info`: validate an FCB or model file (opening runs the full
+/// integrity pass) and dump its header and checksums as TSV. Model files
+/// are recognized by their leading bytes, whatever their name.
 fn info(data: &std::path::Path) -> Result<(), Error> {
+    let mut head = [0u8; 16];
+    let n = {
+        use std::io::Read as _;
+        let mut f = std::fs::File::open(data).map_err(|e| format!("{}: {e}", data.display()))?;
+        f.read(&mut head).map_err(|e| format!("{}: {e}", data.display()))?
+    };
+    if frac_core::persist::is_model_file(&head[..n]) {
+        return model_info(data);
+    }
     let file = frac_dataset::FcbFile::open(data)?;
     let info = file.info();
     println!("file\t{}", data.display());
@@ -110,6 +120,27 @@ fn info(data: &std::path::Path) -> Result<(), Error> {
             "column\t{}\t{}\t{}\t{}\t{:08x}\t{:08x}",
             c.name, c.kind, c.n_missing, c.values_len, c.values_crc, c.missing_crc
         );
+    }
+    Ok(())
+}
+
+/// `frac info` on a model file.
+fn model_info(path: &std::path::Path) -> Result<(), Error> {
+    let (model, info) = FracModel::load_with_info(path).map_err(|e| e.to_string())?;
+    let restarts: Vec<String> = model.shard_restarts().iter().map(usize::to_string).collect();
+    println!("file\t{}", path.display());
+    println!("format\tfracmodel v{}", info.version);
+    println!("planned_targets\t{}", model.planned_targets());
+    println!("targets\t{}", model.n_targets());
+    let restarts = if restarts.is_empty() { "-".to_string() } else { restarts.join(" ") };
+    println!("shard_restarts\t{restarts}");
+    for (kind, n) in model.predictor_kinds() {
+        println!("predictor\t{kind}\t{n}");
+    }
+    println!("file_bytes\t{}", info.file_bytes);
+    match info.file_crc {
+        Some(crc) => println!("file_crc\t{crc:08x}"),
+        None => println!("file_crc\t-"),
     }
     Ok(())
 }
@@ -848,6 +879,11 @@ mod tests {
         // Packing an .fcb again is refused; info on a TSV is a clean error.
         assert!(pack(&fcb_path, &dir.join("x.fcb"), 64).is_err());
         assert!(info(&tsv_path).is_err());
+        // Info recognizes a model by its leading bytes, and verifies it.
+        info(&dir.join("m-tsv.frac")).unwrap();
+        std::fs::write(dir.join("cut.frac"), &m_tsv[..m_tsv.len() - 1]).unwrap();
+        let err = info(&dir.join("cut.frac")).unwrap_err().to_string();
+        assert!(err.contains("cut.frac") && err.contains("truncated"), "{err}");
     }
 
     #[test]
@@ -884,9 +920,9 @@ mod tests {
         // Journaled train from scratch, then resume of the complete journal:
         // every target restores, nothing refits, same saved model.
         train(base.clone(), false).unwrap();
-        let first = std::fs::read_to_string(dir.join("m.frac")).unwrap();
+        let first = std::fs::read(dir.join("m.frac")).unwrap();
         train(TrainArgs { out: dir.join("m2.frac"), ..base.clone() }, true).unwrap();
-        let second = std::fs::read_to_string(dir.join("m2.frac")).unwrap();
+        let second = std::fs::read(dir.join("m2.frac")).unwrap();
         assert_eq!(first, second);
         // Resuming under a different seed must refuse the journal.
         let err = train(TrainArgs { seed: 7, ..base.clone() }, true).unwrap_err();
@@ -975,7 +1011,7 @@ mod tests {
             ..TrainArgs::default()
         };
         train(base.clone(), false).unwrap();
-        let first = std::fs::read_to_string(dir.join("m.frac")).unwrap();
+        let first = std::fs::read(dir.join("m.frac")).unwrap();
         // Resume from the directory: both shard journals are complete, so
         // nothing refits and the saved model is byte-identical.
         train(
@@ -988,7 +1024,7 @@ mod tests {
             true,
         )
         .unwrap();
-        let second = std::fs::read_to_string(dir.join("m2.frac")).unwrap();
+        let second = std::fs::read(dir.join("m2.frac")).unwrap();
         assert_eq!(first, second);
         // A foreign (wrong-seed) resume is refused per shard, naming the
         // config hash that differed.

@@ -2,7 +2,7 @@
 //!
 //! Precision-medicine scoring is interactive: a clinician submits one
 //! expression profile and wants its normalized surprisal *now*, without
-//! paying the model-load cost (CRC verification + text parse of hundreds of
+//! paying the model-load cost (reading and CRC-verifying hundreds of
 //! per-target predictors) on every request. This module keeps one verified
 //! [`FracModel`] resident and scores streams of records against it, built
 //! around three robustness guarantees:

@@ -1,6 +1,6 @@
 //! Checksums for durable on-disk artifacts: CRC-32 (IEEE) and FNV-1a 64.
 //!
-//! The run journal and the v3 model text format must detect torn or
+//! The run journal, model files and FCB datasets must detect torn or
 //! corrupted writes — a process killed mid-`write` leaves a prefix of the
 //! intended bytes, and resumable runs must distinguish "valid record" from
 //! "trailing garbage". CRC-32 (the IEEE/zlib polynomial, reflected form)
@@ -8,36 +8,64 @@
 //! fingerprints for header compatibility checks (config hash, dataset
 //! fingerprint). Both are implemented here from the published algorithms so
 //! no external dependency is needed, and both are stable across platforms
-//! and releases — they are part of the on-disk format.
+//! and releases — they are part of the on-disk format. CRC-32 runs the
+//! slicing-by-8 table method (eight bytes per step, ~1 ns/byte), which
+//! keeps checksumming a multi-megabyte model or dataset cheap next to
+//! reading it.
 
 /// The reflected IEEE CRC-32 polynomial (as used by zlib, PNG, gzip).
 const CRC32_POLY: u32 = 0xEDB8_8320;
 
-/// Byte-indexed CRC-32 lookup table, built once at first use.
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
+/// Slicing-by-8 CRC-32 tables, built once at first use. `T[0]` is the
+/// classic byte-indexed table; `T[k][b]` is the CRC of byte `b` followed by
+/// `k` zero bytes, so eight table lookups fold eight input bytes at once.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 { (c >> 1) ^ CRC32_POLY } else { c >> 1 };
             }
             *entry = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     })
+}
+
+/// Fold `bytes` into the raw (uninverted) CRC state `c`.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = crc32_tables();
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xFF) as usize];
+    }
+    c
 }
 
 /// CRC-32 (IEEE) of `bytes`: standard init `0xFFFF_FFFF`, final inversion.
 /// Matches zlib's `crc32(0, bytes)`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = (c >> 8) ^ table[((c ^ b as u32) & 0xFF) as usize];
-    }
-    !c
+    !crc32_update(0xFFFF_FFFF, bytes)
 }
 
 /// Incremental CRC-32 (IEEE) for streaming writers that cannot hold a whole
@@ -62,10 +90,7 @@ impl Crc32 {
 
     /// Fold `bytes` into the running CRC.
     pub fn write(&mut self, bytes: &[u8]) {
-        let table = crc32_table();
-        for &b in bytes {
-            self.state = (self.state >> 8) ^ table[((self.state ^ b as u32) & 0xFF) as usize];
-        }
+        self.state = crc32_update(self.state, bytes);
     }
 
     /// The CRC of everything written so far (final inversion applied;
@@ -135,6 +160,56 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bytewise reference the slicing-by-8 loop must match: one table
+    /// lookup per byte, straight from the reflected polynomial.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 { (c >> 1) ^ CRC32_POLY } else { c >> 1 };
+            }
+        }
+        !c
+    }
+
+    /// Deterministic pseudo-random bytes (xorshift64*), no RNG dependency.
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_any_length_and_alignment() {
+        let data = noise(200, 7);
+        for len in 0..=100 {
+            for off in 0..8 {
+                let s = &data[off..off + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len}, offset {off}");
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn incremental_crc_matches_oneshot_at_every_split() {
+        let data = noise(67, 11);
+        let whole = crc32(&data);
+        for split in 0..=data.len() {
+            let mut c = Crc32::new();
+            c.write(&data[..split]);
+            c.write(&data[split..]);
+            assert_eq!(c.finish(), whole, "split at {split}");
+        }
+    }
 
     #[test]
     fn crc32_known_vectors() {

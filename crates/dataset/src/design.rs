@@ -118,57 +118,48 @@ impl DesignSpec {
         Ok(())
     }
 
-    /// Serialize this spec into a [`crate::textio::TextWriter`] (model
-    /// persistence).
-    pub fn write_text(&self, w: &mut crate::textio::TextWriter) {
-        w.line("designspec", [self.input_features.len()]);
-        w.line("inputs", self.input_features.iter());
+    /// Serialize this spec (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl crate::codec::RecordWrite) {
+        w.uint("designspec", self.input_features.len() as u64);
+        w.uints("inputs", self.input_features.iter().map(|&j| j as u64));
         for enc in &self.encoders {
             match enc {
                 FeatureEncoder::Real { mean, inv_std } => {
-                    w.floats("enc_real", &[*mean, *inv_std]);
+                    w.begin("enc_real");
+                    w.put_float(*mean);
+                    w.put_float(*inv_std);
+                    w.end();
                 }
-                FeatureEncoder::RealRaw { mean } => {
-                    w.floats("enc_raw", &[*mean]);
-                }
-                FeatureEncoder::OneHot { arity } => {
-                    w.line("enc_onehot", [*arity]);
-                }
+                FeatureEncoder::RealRaw { mean } => w.float("enc_raw", *mean),
+                FeatureEncoder::OneHot { arity } => w.uint("enc_onehot", u64::from(*arity)),
             }
         }
     }
 
-    /// Parse a spec previously produced by [`DesignSpec::write_text`].
-    pub fn parse_text(
-        r: &mut crate::textio::TextReader<'_>,
+    /// Parse a spec previously produced by [`DesignSpec::write_to`].
+    pub fn read_from(
+        r: &mut impl crate::codec::RecordRead,
     ) -> Result<Self, crate::textio::TextError> {
-        let n: usize = r.parse_one("designspec")?;
-        let input_features: Vec<usize> = r.parse_all("inputs")?;
+        let n = r.count("designspec")?;
+        let input_features: Vec<usize> = r.uints("inputs")?;
         if input_features.len() != n {
-            return Err(format!(
+            return Err(r.error(format!(
                 "designspec declares {n} inputs but lists {}",
                 input_features.len()
-            )
-            .into());
+            )));
         }
         let mut encoders = Vec::with_capacity(n);
         let mut n_cols = 0usize;
         for _ in 0..n {
             let enc = if r.peek_is("enc_real") {
-                let v: Vec<f64> = r.parse_all("enc_real")?;
-                if v.len() != 2 {
-                    return Err("enc_real expects mean inv_std".into());
-                }
-                FeatureEncoder::Real { mean: v[0], inv_std: v[1] }
+                r.begin("enc_real")?;
+                let (mean, inv_std) = (r.get_float()?, r.get_float()?);
+                r.end()?;
+                FeatureEncoder::Real { mean, inv_std }
             } else if r.peek_is("enc_raw") {
-                let v: Vec<f64> = r.parse_all("enc_raw")?;
-                if v.len() != 1 {
-                    return Err("enc_raw expects mean".into());
-                }
-                FeatureEncoder::RealRaw { mean: v[0] }
+                FeatureEncoder::RealRaw { mean: r.float("enc_raw")? }
             } else {
-                let arity: u32 = r.parse_one("enc_onehot")?;
-                FeatureEncoder::OneHot { arity }
+                FeatureEncoder::OneHot { arity: r.uint("enc_onehot")? }
             };
             n_cols += enc.width();
             encoders.push(enc);
@@ -1148,13 +1139,21 @@ mod tests {
         for standardize in [true, false] {
             let spec = DesignSpec::fit(&d, &[0, 2, 1], standardize);
             let mut w = crate::textio::TextWriter::new();
-            spec.write_text(&mut w);
+            spec.write_to(&mut w);
             let text = w.finish();
             let mut r = crate::textio::TextReader::new(&text);
-            let back = DesignSpec::parse_text(&mut r).unwrap();
+            let back = DesignSpec::read_from(&mut r).unwrap();
             assert_eq!(back.input_features(), spec.input_features());
             assert_eq!(back.n_cols(), spec.n_cols());
             // Encodings agree exactly on data.
+            assert_eq!(back.encode(&d), spec.encode(&d));
+            // The binary body round-trips through the same parser.
+            let mut b = crate::codec::BinWriter::default();
+            spec.write_to(&mut b);
+            let bytes = b.finish();
+            let mut r = crate::codec::BinReader::new(&bytes);
+            let back = DesignSpec::read_from(&mut r).unwrap();
+            r.finish().unwrap();
             assert_eq!(back.encode(&d), spec.encode(&d));
         }
     }
@@ -1227,9 +1226,9 @@ mod tests {
         assert_eq!(assembled.encode(&d), fresh.encode(&d));
         // Persisted form is identical too (format compatibility).
         let mut wa = crate::textio::TextWriter::new();
-        assembled.write_text(&mut wa);
+        assembled.write_to(&mut wa);
         let mut wf = crate::textio::TextWriter::new();
-        fresh.write_text(&mut wf);
+        fresh.write_to(&mut wf);
         assert_eq!(wa.finish(), wf.finish());
     }
 

@@ -36,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod crc;
 pub mod dataset;
 pub mod design;

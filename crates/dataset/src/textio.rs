@@ -1,11 +1,14 @@
 //! Minimal line-oriented text (de)serialization substrate.
 //!
-//! Fitted FRaC models must be persistable (train once on the reference
-//! cohort, screen new samples for months) without pulling a serialization
-//! framework into a numerics workspace. The format is deliberately plain:
-//! one record per line, `tag value value …`, human-inspectable and
+//! One record per line, `tag value value …`, human-inspectable and
 //! dependency-free. Floats are written with `{:?}` (shortest round-trip
-//! representation), so save/load is bit-exact.
+//! representation), so a round trip is bit-exact. The run journal writes
+//! this form, and the v1–v4 model files were written in it; both sides
+//! implement the [`crate::codec`] record traits, so every persisted type
+//! parses from text and from the binary model body through one parser.
+
+use crate::codec::{RecordRead, RecordWrite};
+use std::fmt::Write as _;
 
 /// Writer side: push tagged lines into a growing buffer.
 #[derive(Debug, Default)]
@@ -33,22 +36,6 @@ impl TextWriter {
         self.buf.push('\n');
     }
 
-    /// Write a tag-only line.
-    pub fn tag(&mut self, tag: &str) {
-        self.buf.push_str(tag);
-        self.buf.push('\n');
-    }
-
-    /// Write a line of f64 fields in round-trip representation.
-    pub fn floats(&mut self, tag: &str, values: &[f64]) {
-        self.buf.push_str(tag);
-        for v in values {
-            self.buf.push(' ');
-            self.buf.push_str(&format!("{v:?}"));
-        }
-        self.buf.push('\n');
-    }
-
     /// Finish, returning the buffer.
     pub fn finish(self) -> String {
         self.buf
@@ -58,9 +45,15 @@ impl TextWriter {
 /// Reader side: consume tagged lines with typed field extraction.
 #[derive(Debug)]
 pub struct TextReader<'a> {
-    lines: std::str::Lines<'a>,
+    /// Input not yet consumed, starting at the line after the current one.
+    rest: &'a str,
     /// 1-based line number of the last line read (for error messages).
     line_no: usize,
+    /// Tag and unread fields of the record opened by `RecordRead::begin`.
+    tag: &'a str,
+    fields: std::str::SplitWhitespace<'a>,
+    /// 0-based index of the next field of the open record.
+    field_no: usize,
 }
 
 /// Structured parse error: what went wrong and where.
@@ -118,78 +111,169 @@ impl From<&str> for TextError {
 impl<'a> TextReader<'a> {
     /// Read from a text buffer.
     pub fn new(text: &'a str) -> Self {
-        TextReader { lines: text.lines(), line_no: 0 }
+        TextReader { rest: text, line_no: 0, tag: "", fields: "".split_whitespace(), field_no: 0 }
+    }
+
+    /// Split the next line (without its `\n` or `\r\n`) off `rest`.
+    fn split_line(rest: &'a str) -> Option<(&'a str, &'a str)> {
+        if rest.is_empty() {
+            return None;
+        }
+        let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
+        Some((line.strip_suffix('\r').unwrap_or(line), tail))
     }
 
     /// Next non-empty line's fields; errors at end of input.
-    fn next_fields(&mut self) -> Result<Vec<&'a str>, TextError> {
+    fn next_fields(&mut self) -> Result<std::str::SplitWhitespace<'a>, TextError> {
         loop {
             self.line_no += 1;
-            match self.lines.next() {
+            match Self::split_line(self.rest) {
                 None => return Err(TextError::at(self.line_no, "unexpected end of input")),
-                Some(l) if l.trim().is_empty() => continue,
-                Some(l) => return Ok(l.split_whitespace().collect()),
+                Some((line, tail)) => {
+                    self.rest = tail;
+                    if !line.trim().is_empty() {
+                        return Ok(line.split_whitespace());
+                    }
+                }
             }
         }
     }
 
     /// Consume a line that must start with `tag`; returns its fields.
     pub fn expect(&mut self, tag: &str) -> Result<Vec<&'a str>, TextError> {
-        let fields = self.next_fields()?;
-        if fields.first() != Some(&tag) {
-            return Err(TextError::at(
-                self.line_no,
-                format!(
-                    "expected tag `{tag}`, found `{}`",
-                    fields.first().unwrap_or(&"")
-                ),
-            ));
-        }
-        Ok(fields[1..].to_vec())
-    }
-
-    /// Consume a `tag`-line and parse all fields as `T`.
-    pub fn parse_all<T: std::str::FromStr>(&mut self, tag: &str) -> Result<Vec<T>, TextError> {
-        let fields = self.expect(tag)?;
-        let line_no = self.line_no;
-        fields
-            .into_iter()
-            .enumerate()
-            .map(|(i, f)| {
-                f.parse::<T>().map_err(|_| {
-                    TextError::at_field(line_no, i, format!("bad field `{f}` for `{tag}`"))
-                })
-            })
-            .collect()
+        RecordRead::begin(self, tag)?;
+        Ok(self.fields.by_ref().collect())
     }
 
     /// Consume a `tag`-line that must carry exactly one field, parsed as `T`.
     pub fn parse_one<T: std::str::FromStr>(&mut self, tag: &str) -> Result<T, TextError> {
-        let v: Vec<T> = self.parse_all(tag)?;
-        let found = v.len();
-        match v.into_iter().next() {
-            Some(one) if found == 1 => Ok(one),
+        let fields = self.expect(tag)?;
+        match fields[..] {
+            [f] => f.parse::<T>().map_err(|_| {
+                TextError::at_field(self.line_no, 0, format!("bad field `{f}` for `{tag}`"))
+            }),
             _ => Err(TextError::at(
                 self.line_no,
-                format!("tag `{tag}` expects exactly one field, found {found}"),
+                format!("tag `{tag}` expects exactly one field, found {}", fields.len()),
             )),
         }
     }
 
-    /// 1-based line number of the last line consumed (0 before any read).
-    /// Lets callers anchor semantic errors — e.g. a duplicate section — to
-    /// the line that introduced them.
-    pub fn line(&self) -> usize {
-        self.line_no
+    /// Next field of the open record, parsed as `T`.
+    fn next_field<T: std::str::FromStr>(&mut self) -> Result<T, TextError> {
+        let (tag, col) = (self.tag, self.field_no);
+        self.field_no += 1;
+        let f = self.fields.next().ok_or_else(|| {
+            TextError::at_field(self.line_no, col, format!("`{tag}` is missing field {col}"))
+        })?;
+        f.parse::<T>().map_err(|_| {
+            TextError::at_field(self.line_no, col, format!("bad field `{f}` for `{tag}`"))
+        })
+    }
+}
+
+impl RecordWrite for TextWriter {
+    fn begin(&mut self, tag: &str) {
+        self.buf.push_str(tag);
     }
 
-    /// Peek whether the next non-empty line starts with `tag` (does not
-    /// consume).
-    pub fn peek_is(&self, tag: &str) -> bool {
-        self.lines
-            .clone()
-            .find(|l| !l.trim().is_empty())
-            .is_some_and(|l| l.split_whitespace().next() == Some(tag))
+    fn put_uint(&mut self, v: u64) {
+        let _ = write!(self.buf, " {v}");
+    }
+
+    fn put_float(&mut self, v: f64) {
+        let _ = write!(self.buf, " {v:?}");
+    }
+
+    fn end(&mut self) {
+        self.buf.push('\n');
+    }
+
+    fn floats(&mut self, tag: &str, values: &[f64]) {
+        self.begin(tag);
+        for &v in values {
+            self.put_float(v);
+        }
+        self.end();
+    }
+
+    fn uints(&mut self, tag: &str, values: impl ExactSizeIterator<Item = u64>) {
+        self.begin(tag);
+        for v in values {
+            self.put_uint(v);
+        }
+        self.end();
+    }
+}
+
+impl RecordRead for TextReader<'_> {
+    fn peek_is(&self, tag: &str) -> bool {
+        let mut rest = self.rest;
+        while let Some((line, tail)) = Self::split_line(rest) {
+            if !line.trim().is_empty() {
+                return line.split_whitespace().next() == Some(tag);
+            }
+            rest = tail;
+        }
+        false
+    }
+
+    fn begin(&mut self, tag: &str) -> Result<(), TextError> {
+        let mut fields = self.next_fields()?;
+        let found = fields.next().unwrap_or("");
+        if found != tag {
+            return Err(TextError::at(
+                self.line_no,
+                format!("expected tag `{tag}`, found `{found}`"),
+            ));
+        }
+        (self.tag, self.fields, self.field_no) = (found, fields, 0);
+        Ok(())
+    }
+
+    fn get_u64(&mut self) -> Result<u64, TextError> {
+        self.next_field()
+    }
+
+    fn get_float(&mut self) -> Result<f64, TextError> {
+        self.next_field()
+    }
+
+    fn end(&mut self) -> Result<(), TextError> {
+        match self.fields.next() {
+            None => Ok(()),
+            Some(f) => Err(TextError::at_field(
+                self.line_no,
+                self.field_no,
+                format!("unexpected extra field `{f}` for `{}`", self.tag),
+            )),
+        }
+    }
+
+    fn floats(&mut self, tag: &str) -> Result<Vec<f64>, TextError> {
+        self.begin(tag)?;
+        let mut out = Vec::new();
+        while self.fields.clone().next().is_some() {
+            out.push(self.next_field()?);
+        }
+        Ok(out)
+    }
+
+    fn uints<T: TryFrom<u64>>(&mut self, tag: &str) -> Result<Vec<T>, TextError> {
+        self.begin(tag)?;
+        let mut out = Vec::new();
+        while self.fields.clone().next().is_some() {
+            out.push(self.get_uint()?);
+        }
+        Ok(out)
+    }
+
+    fn remaining(&self) -> usize {
+        self.rest.len()
+    }
+
+    fn error(&self, message: String) -> TextError {
+        TextError::at(self.line_no, message)
     }
 }
 
@@ -208,7 +292,7 @@ mod tests {
 
         let mut r = TextReader::new(&text);
         assert_eq!(r.expect("header").unwrap(), vec!["v1"]);
-        let ws: Vec<f64> = r.parse_all("weights").unwrap();
+        let ws = r.floats("weights").unwrap();
         assert_eq!(ws, vec![1.5, -0.25, 1e-300, f64::MAX]);
         assert_eq!(r.parse_one::<u32>("count").unwrap(), 42);
         assert!(r.expect("end").unwrap().is_empty());
@@ -221,7 +305,7 @@ mod tests {
         w.floats("v", &values);
         let text = w.finish();
         let mut r = TextReader::new(&text);
-        let back: Vec<f64> = r.parse_all("v").unwrap();
+        let back = r.floats("v").unwrap();
         for (a, b) in values.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
@@ -240,15 +324,19 @@ mod tests {
     #[test]
     fn eof_and_bad_fields_error() {
         let mut r = TextReader::new("x 1\n");
-        assert!(r.parse_all::<i32>("x").is_ok());
+        assert!(r.uints::<u32>("x").is_ok());
         assert!(r.expect("y").unwrap_err().to_string().contains("end of input"));
         let mut r = TextReader::new("x one two\n");
-        let err = r.parse_all::<i32>("x").unwrap_err();
+        let err = r.uints::<u32>("x").unwrap_err();
         assert!(err.to_string().contains("bad field"), "{err}");
         assert_eq!((err.line, err.column), (1, Some(0)));
         let mut r = TextReader::new("x 1 2\n");
         let err = r.parse_one::<i32>("x").unwrap_err();
         assert!(err.to_string().contains("exactly one"), "{err}");
+        let mut r = TextReader::new("x 1 2\n");
+        let err = r.uint::<u32>("x").unwrap_err();
+        assert!(err.to_string().contains("extra field `2`"), "{err}");
+        assert_eq!((err.line, err.column), (1, Some(1)));
     }
 
     #[test]

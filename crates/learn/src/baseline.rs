@@ -9,7 +9,9 @@
 use crate::traits::{
     Classifier, ClassifierTrainer, Regressor, RegressorTrainer, Trained, TrainingCost,
 };
+use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::{stats, DesignView};
+use frac_dataset::textio::TextError;
 
 /// Predicts the training-target mean regardless of input.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,17 +30,14 @@ impl ConstantRegressor {
         ConstantRegressor { mean }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.floats("const_reg", &[self.mean]);
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.float("const_reg", self.mean);
     }
 
-    /// Parse a model previously produced by
-    /// [`ConstantRegressor::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        Ok(ConstantRegressor { mean: r.parse_one("const_reg")? })
+    /// Parse a model previously produced by [`ConstantRegressor::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        Ok(ConstantRegressor { mean: r.float("const_reg")? })
     }
 }
 
@@ -88,17 +87,14 @@ impl MajorityClassifier {
         MajorityClassifier { class }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("majority_clf", [self.class]);
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.uint("majority_clf", u64::from(self.class));
     }
 
-    /// Parse a model previously produced by
-    /// [`MajorityClassifier::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        Ok(MajorityClassifier { class: r.parse_one("majority_clf")? })
+    /// Parse a model previously produced by [`MajorityClassifier::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        Ok(MajorityClassifier { class: r.uint("majority_clf")? })
     }
 }
 

@@ -10,7 +10,9 @@
 //! the error distribution reflects out-of-sample behaviour, and both expose
 //! surprisal in nats: `−log P(true | predicted)`.
 
+use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::stats;
+use frac_dataset::textio::TextError;
 
 /// Gaussian error model for continuous predictions.
 ///
@@ -77,21 +79,20 @@ impl GaussianErrorModel {
         std::mem::size_of::<Self>()
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.floats("gauss_err", &[self.mu, self.sigma]);
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.begin("gauss_err");
+        w.put_float(self.mu);
+        w.put_float(self.sigma);
+        w.end();
     }
 
-    /// Parse a model previously produced by
-    /// [`GaussianErrorModel::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        let v: Vec<f64> = r.parse_all("gauss_err")?;
-        if v.len() != 2 {
-            return Err("gauss_err expects mu sigma".into());
-        }
-        Ok(GaussianErrorModel::from_params(v[0], v[1]))
+    /// Parse a model previously produced by [`GaussianErrorModel::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        r.begin("gauss_err")?;
+        let (mu, sigma) = (r.get_float()?, r.get_float()?);
+        r.end()?;
+        Ok(GaussianErrorModel::from_params(mu, sigma))
     }
 }
 
@@ -158,34 +159,30 @@ impl ConfusionErrorModel {
         self.counts.len() * std::mem::size_of::<u64>() + std::mem::size_of::<Self>()
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("conf_err", [self.arity.to_string(), format!("{:?}", self.alpha)]);
-        w.line("conf_counts", self.counts.iter());
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.begin("conf_err");
+        w.put_uint(u64::from(self.arity));
+        w.put_float(self.alpha);
+        w.end();
+        w.uints("conf_counts", self.counts.iter().copied());
     }
 
-    /// Parse a model previously produced by
-    /// [`ConfusionErrorModel::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        let head = r.expect("conf_err")?;
-        if head.len() != 2 {
-            return Err("conf_err expects arity alpha".into());
-        }
-        let arity: u32 = head[0].parse().map_err(|_| "bad arity".to_string())?;
-        let alpha: f64 = head[1].parse().map_err(|_| "bad alpha".to_string())?;
+    /// Parse a model previously produced by [`ConfusionErrorModel::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        r.begin("conf_err")?;
+        let (arity, alpha): (u32, f64) = (r.get_uint()?, r.get_float()?);
+        r.end()?;
         if alpha <= 0.0 {
-            return Err("alpha must be positive".into());
+            return Err(r.error("alpha must be positive".into()));
         }
-        let counts: Vec<u64> = r.parse_all("conf_counts")?;
-        if counts.len() != (arity as usize) * (arity as usize) {
-            return Err(format!(
+        let counts: Vec<u64> = r.uints("conf_counts")?;
+        if counts.len() as u64 != u64::from(arity).pow(2) {
+            return Err(r.error(format!(
                 "conf_counts expects {} entries, found {}",
-                (arity as usize).pow(2),
+                u64::from(arity).pow(2),
                 counts.len()
-            )
-            .into());
+            )));
         }
         Ok(ConfusionErrorModel { arity, counts, alpha })
     }

@@ -20,8 +20,10 @@ use crate::fault::{self, TrainError};
 use crate::solver::{stats, GramMatrix, SolverMode, SolverRows, SolverStrategy};
 use crate::telemetry;
 use crate::traits::{Classifier, ClassifierTrainer, Trained, TrainingCost};
+use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::split::derive_seed;
 use frac_dataset::{DesignView, PackedDesign};
+use frac_dataset::textio::TextError;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -94,24 +96,22 @@ impl LinearSvc {
         LinearSvc { hyperplanes }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("svc_classes", [self.hyperplanes.len()]);
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.uint("svc_classes", self.hyperplanes.len() as u64);
         for (weights, bias) in &self.hyperplanes {
-            w.floats("svc_bias", &[*bias]);
+            w.float("svc_bias", *bias);
             w.floats("svc_weights", weights);
         }
     }
 
-    /// Parse a model previously produced by [`LinearSvc::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        let k: usize = r.parse_one("svc_classes")?;
+    /// Parse a model previously produced by [`LinearSvc::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        let k = r.count("svc_classes")?;
         let mut hyperplanes = Vec::with_capacity(k);
         for _ in 0..k {
-            let bias: f64 = r.parse_one("svc_bias")?;
-            let weights: Vec<f64> = r.parse_all("svc_weights")?;
+            let bias = r.float("svc_bias")?;
+            let weights = r.floats("svc_weights")?;
             hyperplanes.push((weights, bias));
         }
         Ok(LinearSvc { hyperplanes })

@@ -29,8 +29,10 @@ use crate::fault::{self, TrainError};
 use crate::solver::{stats, GramMatrix, SolverMode, SolverRows, SolverStrategy};
 use crate::telemetry;
 use crate::traits::{Regressor, RegressorTrainer, Trained, TrainingCost};
+use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::split::derive_seed;
 use frac_dataset::DesignView;
+use frac_dataset::textio::TextError;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -111,18 +113,16 @@ impl LinearSvr {
         LinearSvr { weights, bias }
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.floats("svr_bias", &[self.bias]);
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.float("svr_bias", self.bias);
         w.floats("svr_weights", &self.weights);
     }
 
-    /// Parse a model previously produced by [`LinearSvr::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        let bias: f64 = r.parse_one("svr_bias")?;
-        let weights: Vec<f64> = r.parse_all("svr_weights")?;
+    /// Parse a model previously produced by [`LinearSvr::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        let bias = r.float("svr_bias")?;
+        let weights = r.floats("svr_weights")?;
         Ok(LinearSvr { weights, bias })
     }
 }

@@ -6,7 +6,9 @@ use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
 use crate::telemetry;
 use crate::traits::{Classifier, ClassifierTrainer, Trained, TrainingCost};
+use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::DesignView;
+use frac_dataset::textio::TextError;
 
 /// A fitted classification tree predicting class codes.
 #[derive(Debug, Clone)]
@@ -31,22 +33,19 @@ impl ClassificationTree {
         self.arity
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
-        w.line("ctree_arity", [self.arity]);
-        super::write_nodes(w, &self.nodes, u32::to_string);
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
+        w.uint("ctree_arity", u64::from(self.arity));
+        super::write_nodes(w, &self.nodes, |w, c| w.put_uint(u64::from(*c)));
     }
 
-    /// Parse a model previously produced by
-    /// [`ClassificationTree::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        let arity: u32 = r.parse_one("ctree_arity")?;
-        let nodes = super::parse_nodes(r, |s| {
-            let c: u32 = s.parse().map_err(|_| format!("bad class `{s}`"))?;
+    /// Parse a model previously produced by [`ClassificationTree::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        let arity: u32 = r.uint("ctree_arity")?;
+        let nodes = super::read_nodes(r, |r| {
+            let c: u32 = r.get_uint()?;
             if c >= arity {
-                return Err(format!("leaf class {c} out of range for arity {arity}").into());
+                return Err(r.error(format!("leaf class {c} out of range for arity {arity}")));
             }
             Ok(c)
         })?;

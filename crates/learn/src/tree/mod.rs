@@ -21,6 +21,9 @@ mod splitter;
 pub use classification::{ClassificationTree, ClassificationTreeTrainer};
 pub use regression::{RegressionTree, RegressionTreeTrainer};
 
+use frac_dataset::codec::{RecordRead, RecordWrite};
+use frac_dataset::textio::TextError;
+
 /// The growers' split search at one node, for checking it against a
 /// reference implementation from outside the crate. Not a stable API.
 #[doc(hidden)]
@@ -134,67 +137,60 @@ pub(crate) fn arena_len<L>(nodes: &[Node<L>]) -> usize {
     nodes.len()
 }
 
-/// Serialize a node arena (model persistence). Leaf payloads are written by
-/// `leaf` as a single whitespace-free token.
-pub(crate) fn write_nodes<L>(
-    w: &mut frac_dataset::textio::TextWriter,
+/// Serialize a node arena (model persistence). `leaf` appends a leaf's
+/// payload as one field of the open `leaf` record.
+pub(crate) fn write_nodes<L, W: RecordWrite>(
+    w: &mut W,
     nodes: &[Node<L>],
-    leaf: impl Fn(&L) -> String,
+    leaf: impl Fn(&mut W, &L),
 ) {
-    w.line("tree_nodes", [nodes.len()]);
+    w.uint("tree_nodes", nodes.len() as u64);
     for node in nodes {
         match node {
-            Node::Leaf(payload) => w.line("leaf", [leaf(payload)]),
-            Node::Split { feature, threshold, left, right } => w.line(
-                "split",
-                [
-                    feature.to_string(),
-                    format!("{threshold:?}"),
-                    left.to_string(),
-                    right.to_string(),
-                ],
-            ),
+            Node::Leaf(payload) => {
+                w.begin("leaf");
+                leaf(w, payload);
+            }
+            Node::Split { feature, threshold, left, right } => {
+                w.begin("split");
+                w.put_uint(*feature as u64);
+                w.put_float(*threshold);
+                w.put_uint(*left as u64);
+                w.put_uint(*right as u64);
+            }
         }
+        w.end();
     }
 }
 
-/// Parse a node arena previously produced by [`write_nodes`].
-pub(crate) fn parse_nodes<L>(
-    r: &mut frac_dataset::textio::TextReader<'_>,
-    leaf: impl Fn(&str) -> Result<L, frac_dataset::textio::TextError>,
-) -> Result<Vec<Node<L>>, frac_dataset::textio::TextError> {
-    let n: usize = r.parse_one("tree_nodes")?;
+/// Parse a node arena previously produced by [`write_nodes`]; `leaf` reads
+/// the payload field of an open `leaf` record.
+pub(crate) fn read_nodes<L, R: RecordRead>(
+    r: &mut R,
+    leaf: impl Fn(&mut R) -> Result<L, TextError>,
+) -> Result<Vec<Node<L>>, TextError> {
+    let n = r.count("tree_nodes")?;
     let mut nodes = Vec::with_capacity(n);
     for _ in 0..n {
         if r.peek_is("leaf") {
-            let fields = r.expect("leaf")?;
-            if fields.len() != 1 {
-                return Err("leaf expects one payload token".into());
-            }
-            nodes.push(Node::Leaf(leaf(fields[0])?));
+            r.begin("leaf")?;
+            nodes.push(Node::Leaf(leaf(r)?));
         } else {
-            let fields = r.expect("split")?;
-            if fields.len() != 4 {
-                return Err("split expects feature threshold left right".into());
-            }
-            let parse_usize = |s: &str| {
-                s.parse::<usize>().map_err(|_| format!("bad split field `{s}`"))
-            };
+            r.begin("split")?;
             nodes.push(Node::Split {
-                feature: parse_usize(fields[0])?,
-                threshold: fields[1]
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad threshold `{}`", fields[1]))?,
-                left: parse_usize(fields[2])?,
-                right: parse_usize(fields[3])?,
+                feature: r.get_uint()?,
+                threshold: r.get_float()?,
+                left: r.get_uint()?,
+                right: r.get_uint()?,
             });
         }
+        r.end()?;
     }
     // Structural sanity: child indices in range.
     for node in &nodes {
         if let Node::Split { left, right, .. } = node {
             if *left >= nodes.len() || *right >= nodes.len() {
-                return Err("split child index out of range".into());
+                return Err(r.error("split child index out of range".into()));
             }
         }
     }

@@ -11,7 +11,9 @@ use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
 use crate::telemetry;
 use crate::traits::{Regressor, RegressorTrainer, Trained, TrainingCost};
+use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::DesignView;
+use frac_dataset::textio::TextError;
 
 /// A fitted regression tree predicting leaf means.
 #[derive(Debug, Clone)]
@@ -30,20 +32,16 @@ impl RegressionTree {
         self.nodes.iter().filter(|n| matches!(n, Node::Leaf(_))).count()
     }
 
-    /// Serialize into a text writer (model persistence).
-    pub fn write_text(&self, w: &mut frac_dataset::textio::TextWriter) {
+    /// Serialize (model persistence, text or binary).
+    pub fn write_to(&self, w: &mut impl RecordWrite) {
         w.tag("rtree");
-        super::write_nodes(w, &self.nodes, |v| format!("{v:?}"));
+        super::write_nodes(w, &self.nodes, |w, v| w.put_float(*v));
     }
 
-    /// Parse a model previously produced by [`RegressionTree::write_text`].
-    pub fn parse_text(
-        r: &mut frac_dataset::textio::TextReader<'_>,
-    ) -> Result<Self, frac_dataset::textio::TextError> {
-        r.expect("rtree")?;
-        let nodes = super::parse_nodes(r, |s| {
-            s.parse::<f64>().map_err(|_| format!("bad leaf value `{s}`").into())
-        })?;
+    /// Parse a model previously produced by [`RegressionTree::write_to`].
+    pub fn read_from(r: &mut impl RecordRead) -> Result<Self, TextError> {
+        r.tag("rtree")?;
+        let nodes = super::read_nodes(r, |r| r.get_float())?;
         Ok(RegressionTree { nodes })
     }
 }

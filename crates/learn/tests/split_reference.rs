@@ -434,7 +434,7 @@ fn check_view(x: &dyn DesignView, two_valued: bool, rng: &mut Rng, what: &str) {
         };
         let tree = ClassificationTreeTrainer::new(cfg).train_view(x, &y, ARITY);
         let mut w = TextWriter::new();
-        tree.model.write_text(&mut w);
+        tree.model.write_to(&mut w);
         assert_eq!(
             w.finish(),
             reference_tree_text(x, &y, &cfg),

@@ -61,6 +61,11 @@ cargo test -q -p frac-core --test serve_fuzz
 # bit-identically to TSV-fitted ones at any thread count.
 cargo test -q -p frac-dataset --test fcb_corruption
 cargo test -q -p frac-core --test fcb_equivalence
+# Model-file guarantee: every truncation offset and every single-bit flip
+# of a v5 model is rejected naming the path, length-field bombs fail
+# without allocating, byte soup never panics, and the committed v4 text
+# model scores bit-identically to the same fit saved as v5 (FORMATS.md §3).
+cargo test -q -p frac-core --test model_corruption
 # Benchmark guarantee: fracbench is its own workspace, so the runs above
 # never build it. Its tests keep BENCHMARK.json in step with the metrics
 # the benchmark reports, and check its statistics and input generation.
@@ -130,6 +135,10 @@ timeout 120 ./target/release/frac train \
   --test "$smoke_dir/autism.test.tsv" \
   > "$smoke_dir/score-tsv.tsv" 2> /dev/null
 cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
+# `frac info` recognizes a model by its leading bytes and verifies it.
+./target/release/frac info --data "$smoke_dir/autism-fcb.frac" \
+  > "$smoke_dir/model-info.log"
+grep -q "^format	fracmodel v5" "$smoke_dir/model-info.log"
 
 # The telemetry-off build must compile every probe away and still pass
 # the same smoke (its trace degenerates to wall clock + solver delta).
