@@ -1,5 +1,6 @@
 //! Throwaway profiling harness: stage breakdown of the expression SVR fit
-//! under the scalar-blocked vs vectorized tier, at a configurable size.
+//! under the portable unrolled vs vectorized kernel tier, at a
+//! configurable size.
 
 use std::time::Instant;
 
@@ -69,9 +70,7 @@ fn main() {
     eprintln!("{n_features} features x {n_rows} rows");
 
     kernels::force_tier(Some(KernelTier::Unrolled));
-    frac_learn::solver::force_unpacked_solver(true);
-    profile("scalar-blocked", &train, &cfg);
+    profile("unrolled", &train, &cfg);
     kernels::force_tier(None);
-    frac_learn::solver::force_unpacked_solver(false);
     profile("vectorized", &train, &cfg);
 }

@@ -10,8 +10,8 @@
 //! (`BENCH_shard.json`) — the serving daemon: single-record p50/p99
 //! latency, batched throughput, and the amortization win over one-shot
 //! load-per-score (`BENCH_serve.json`) — the SIMD kernel tier — per-kernel
-//! throughput, scalar-blocked vs vectorized fit wall, and f32-mode NS
-//! drift (`BENCH_simd.json`) — and the Gram-matrix dual strategy against
+//! throughput and unrolled vs vectorized fit wall (`BENCH_simd.json`) —
+//! and the Gram-matrix dual strategy against
 //! the primal fast path, with a d/n sweep locating the measured crossover
 //! (`BENCH_gram.json`) — and the out-of-core FCB path: chunked pack time
 //! and peak encode buffer on a synthetic tall dataset, mmap-open vs
@@ -685,12 +685,11 @@ fn serve_family_json(train: &Dataset, test: &Dataset, config: &FracConfig, reps:
 }
 
 /// Per-kernel throughput for one tier, in GFLOP/s on a cache-resident
-/// slice (each element of dot/axpy/sq_norm/dot_f32 is one multiply + one
-/// add). Long enough to amortize the dispatch load, short enough to stay
+/// slice (each element of dot/axpy/sq_norm is one multiply + one add). Long enough to amortize the dispatch load, short enough to stay
 /// in L1. Each kernel's window is only tens of milliseconds, so on a
 /// shared single-vCPU host a single steal burst can halve one reading —
 /// take the best of three interleaved rounds per kernel.
-fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
+fn kernel_gflops(tier: KernelTier) -> [f64; 3] {
     use std::hint::black_box;
     const LEN: usize = 1024;
     const ITERS: usize = 100_000;
@@ -699,7 +698,7 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
     let x: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.37).sin()).collect();
     let w: Vec<f64> = (0..LEN).map(|i| (i as f64 * 0.11).cos()).collect();
 
-    let mut best = [0.0f64; 4];
+    let mut best = [0.0f64; 3];
     let mut wbuf = w.clone();
     for _ in 0..ROUNDS {
         let mut acc = 0.0f64;
@@ -725,14 +724,6 @@ fn kernel_gflops(tier: KernelTier) -> [f64; 4] {
             acc += kernels::sq_norm_for_tier(tier, black_box(&x), 0.0);
         }
         best[2] = best[2].max(flops / t0.elapsed().as_secs_f64());
-        black_box(acc);
-
-        let mut acc = 0.0f64;
-        let t0 = Instant::now();
-        for _ in 0..ITERS {
-            acc += kernels::dot_f32_for_tier(tier, black_box(&x), black_box(&w), 0.0);
-        }
-        best[3] = best[3].max(flops / t0.elapsed().as_secs_f64());
         black_box(acc);
     }
     best
@@ -766,10 +757,9 @@ fn simd_best_of(
     best.expect("at least one rep")
 }
 
-/// A/B one family: scalar-blocked baseline (portable unrolled tier,
-/// unpacked solver) vs the vectorized path (best dispatched tier, packed
-/// solver). Both use the same split search. Returns
-/// `(json, baseline_ns, vectorized_ns)`.
+/// A/B one family: the portable unrolled kernel tier vs the best
+/// dispatched tier, both through the same packed solver and split search.
+/// Returns `(json, baseline_ns, vectorized_ns)`.
 fn simd_family_json(
     name: &str,
     train: &Dataset,
@@ -778,20 +768,18 @@ fn simd_family_json(
     reps: usize,
 ) -> (String, Vec<f64>, Vec<f64>) {
     kernels::force_tier(Some(KernelTier::Unrolled));
-    frac_learn::solver::force_unpacked_solver(true);
     let (base_s, base_ns) = simd_best_of(reps, train, test, config);
     let vec_tier = kernels::force_tier(None);
-    frac_learn::solver::force_unpacked_solver(false);
     let (vec_s, vec_ns) = simd_best_of(reps, train, test, config);
     let speedup = base_s / vec_s;
     eprintln!(
-        "{name}: fit scalar-blocked {base_s:.3}s vs vectorized[{vec_tier}] {vec_s:.3}s \
+        "{name}: fit unrolled {base_s:.3}s vs vectorized[{vec_tier}] {vec_s:.3}s \
          ({speedup:.2}x)"
     );
     let json = format!(
         "  \"{name}\": {{\n    \
          \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
-         \"scalar_blocked\": {{\"fit_wall_s\": {base_s:.6}}},\n    \
+         \"unrolled\": {{\"fit_wall_s\": {base_s:.6}}},\n    \
          \"vectorized\": {{\"fit_wall_s\": {vec_s:.6}, \"tier\": \"{vec_tier}\"}},\n    \
          \"fit_speedup\": {speedup:.3}\n  }}",
         train.n_features(),
@@ -956,11 +944,12 @@ fn sweep_solve_s(
         ..SvrConfig::default()
     };
     let trainer = SvrTrainer::new(cfg);
+    let unlimited = frac_learn::TargetBudget::unlimited();
     let mut best = f64::INFINITY;
     for _ in 0..windows {
         let t0 = Instant::now();
         for _ in 0..solves {
-            let (model, _) = trainer.train_view_warm(x, y, None);
+            let (model, _) = trainer.try_train(x, y, None, &unlimited).expect("clean solve");
             std::hint::black_box(model);
         }
         best = best.min(t0.elapsed().as_secs_f64() / solves as f64);
@@ -986,7 +975,7 @@ fn gram_sweep_json(n: usize, dims: &[usize], windows: usize, solves: usize) -> S
         let gram_s = sweep_solve_s(&x, &y, SolverStrategy::Gram, windows, solves);
         let auto_s = sweep_solve_s(&x, &y, SolverStrategy::Auto, windows, solves);
         let ratio = d as f64 / n as f64;
-        let policy_gram = frac_learn::solver::gram_policy().should_use_gram(n, d);
+        let policy_gram = frac_learn::GramPolicy::default().should_use_gram(n, d);
         let auto_within = auto_s <= 1.05 * primal_s.min(gram_s);
         if crossover.is_none() && gram_s <= primal_s {
             crossover = Some(ratio);
@@ -1012,14 +1001,14 @@ fn gram_sweep_json(n: usize, dims: &[usize], windows: usize, solves: usize) -> S
     eprintln!(
         "sweep: measured gram-wins crossover at d/n {} (policy crossover ratio {})",
         crossover_json,
-        frac_learn::solver::gram_policy().crossover_ratio,
+        frac_learn::GramPolicy::default().crossover_ratio,
     );
     format!(
         "  \"dn_sweep\": {{\n    \"n_rows\": {n},\n    \
          \"policy_crossover_ratio\": {},\n    \
          \"measured_crossover_dn\": {crossover_json},\n    \
          \"points\": [\n      {}\n    ]\n  }}",
-        frac_learn::solver::gram_policy().crossover_ratio,
+        frac_learn::GramPolicy::default().crossover_ratio,
         points.join(",\n      "),
     )
 }
@@ -1302,17 +1291,16 @@ fn main() {
 
     if run("simd") {
     // SIMD kernel tier: per-kernel throughput for every supported tier,
-    // then the whole-fit A/B — scalar-blocked baseline (portable unrolled
-    // kernels, unpacked solver) vs the vectorized path (best dispatched
-    // tier, packed solver) — on the tree_grow-bound SNP
-    // family and the solve-bound expression family. Runs after the timing
-    // families above because the A/B forces process-global knobs.
+    // then the whole-fit A/B — portable unrolled kernels vs the best
+    // dispatched tier — on the tree_grow-bound SNP family and the
+    // solve-bound expression family. Runs after the timing families above
+    // because the A/B forces the process-wide kernel tier.
     let avx2_ok = KernelTier::Avx2Fma.supported();
     eprintln!(
         "simd bench: dispatched tier {}, avx2+fma supported: {avx2_ok}",
         kernels::active_tier()
     );
-    let kernel_names = ["dot", "axpy", "sq_norm", "dot_f32"];
+    let kernel_names = ["dot", "axpy", "sq_norm"];
     let unrolled = kernel_gflops(KernelTier::Unrolled);
     let vector = if avx2_ok { Some(kernel_gflops(KernelTier::Avx2Fma)) } else { None };
     let kernel_rows: Vec<String> = kernel_names
@@ -1376,25 +1364,10 @@ fn main() {
     let expr_tier_drift = max_rel_drift(&expr_base_ns, &expr_vec_ns);
     eprintln!("expression_svr: NS drift across tiers {expr_tier_drift:.2e}");
 
-    // f32-compute mode on the solve-bound family: gradient dots in f32
-    // with f64 accumulation, under the vectorized tier. Reported as NS
-    // drift + rank agreement against the full-precision fast path.
-    let (f64_s, f64_ns) = simd_best_of(reps.max(3), &wexpr_train, &wexpr_test, &svr_cfg);
-    let (f32_s, f32_ns) =
-        simd_best_of(reps.max(3), &wexpr_train, &wexpr_test, &svr_cfg.with_fast_f32(true));
-    let f32_drift = max_rel_drift(&f64_ns, &f32_ns);
-    let f32_ranks = rank_agreement(&f64_ns, &f32_ns);
-    eprintln!(
-        "f32 mode: fit f64 {f64_s:.3}s vs f32 {f32_s:.3}s; NS drift {f32_drift:.2e}; \
-         rank agreement {f32_ranks:.3}"
-    );
-
     let simd_json = format!(
         "{{\n  \"dispatch\": {{\"selected_tier\": \"{}\", \"avx2_fma_supported\": {avx2_ok}}},\n  \
          \"kernels\": {{{}}},\n{snp_simd},\n{expr_simd},\n  \
-         \"f32_mode\": {{\"fit_wall_s_f64\": {f64_s:.6}, \"fit_wall_s_f32\": {f32_s:.6}, \
-         \"max_rel_ns_drift\": {f32_drift:.3e}, \"rank_agreement\": {f32_ranks:.4}, \
-         \"cross_tier_ns_drift\": {expr_tier_drift:.3e}}}\n}}\n",
+         \"cross_tier_ns_drift\": {expr_tier_drift:.3e}\n}}\n",
         kernels::active_tier(),
         kernel_rows.join(", "),
     );

@@ -82,6 +82,19 @@ pub(crate) fn arm_abort_after_records(remaining: usize) {
     ABORT_ARMED.store(true, Ordering::SeqCst);
 }
 
+/// How many more journal records this process may write before the armed
+/// abort-after fault fires: the journal writer frames at most this many
+/// from a batch, so the abort lands on the exact record boundary even when
+/// several finished targets are queued. `usize::MAX` when nothing is armed.
+pub(crate) fn journal_records_before_abort() -> usize {
+    use std::sync::atomic::Ordering;
+    if ABORT_ARMED.load(Ordering::Relaxed) {
+        ABORT_REMAINING.load(Ordering::SeqCst)
+    } else {
+        usize::MAX
+    }
+}
+
 /// Journal hook for the armed abort-after fault: `n` records were just
 /// written. Aborts once the armed budget is consumed; a no-op (one relaxed
 /// load) in every process that never armed a fault.

@@ -63,11 +63,6 @@ impl RunBudget {
         (self, CancelHandle { flag })
     }
 
-    /// Whether this budget can ever trip (false for [`Self::unlimited`]).
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.per_target.is_some() || self.cancel.is_some()
-    }
-
     /// Wall-clock time left until the run deadline; `None` when the budget
     /// has no deadline. Saturates at zero once the deadline has passed.
     ///
@@ -135,11 +130,6 @@ impl TargetBudget {
         }
         Ok(())
     }
-
-    /// Whether this budget can ever trip.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
 }
 
 /// Handle that cancels a run from another thread (or a signal handler).
@@ -168,9 +158,7 @@ mod tests {
     #[test]
     fn unlimited_never_trips() {
         let b = RunBudget::unlimited();
-        assert!(!b.is_limited());
         let t = b.start_target();
-        assert!(!t.is_limited());
         assert!(t.check().is_ok());
     }
 

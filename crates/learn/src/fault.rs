@@ -2,8 +2,8 @@
 //!
 //! FRaC aggregates hundreds of independent per-feature models, so one
 //! degenerate training problem must never take down the whole run. Trainers
-//! expose fallible entry points ([`crate::RegressorTrainer::try_train_view_warm`]
-//! and the classifier analogue) that validate their inputs and inspect their
+//! expose one fallible entry point ([`crate::RegressorTrainer::try_train`]
+//! and the classifier analogue) that validates its inputs and inspects its
 //! outputs, returning a [`TrainError`] instead of panicking or silently
 //! emitting a poisoned model. The caller (frac-core's per-target fit loop)
 //! reacts with a fallback ladder: retry the strict solver, substitute the

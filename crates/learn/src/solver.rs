@@ -1,26 +1,42 @@
-//! Solver-path selection and instrumentation for the linear SVM trainers.
+//! The dual coordinate-descent solver behind the linear SVM trainers.
 //!
-//! The per-feature SVR/SVC fleet executes thousands of independent dual
-//! coordinate-descent solves per FRaC run, so the workspace keeps **two**
-//! solver paths:
+//! [`crate::svr::SvrTrainer`] and [`crate::svc::SvcTrainer`] both solve a
+//! box-constrained dual with one coordinate per training row, the single
+//! solver of liblinear (Hsieh et al. 2008; Ho & Lin 2012) parameterised by
+//! its loss. This module holds the one loop they share, monomorphized over
+//! two halves:
+//!
+//! * a `Loss` — ε-insensitive on the box [−C, C] (`EpsInsensitive`, SVR)
+//!   or hinge on [0, C] with ±1 labels (`Hinge`, SVC) — which assembles
+//!   each gradient and owns the violation, the shrink rule and the Newton
+//!   step;
+//! * a gradient source — primal rows that maintain `w = Σ αᵢ sᵢ xᵢ` (sᵢ
+//!   the ±1 label under hinge loss, 1 for SVR) and pay an O(d) row dot per
+//!   visit, or Gram rows that maintain `Qα` and
+//!   read the gradient in O(1) (see [`SolverStrategy`]).
+//!
+//! The loop (`dual_cd`) owns the per-epoch shuffle, the active set, the
+//! unshrink-and-recheck pass, stopping, budget polls and counters. The two
+//! [`SolverMode`]s are parameter sets of that same loop:
 //!
 //! * [`SolverMode::Fast`] (the default) — liblinear-style active-set
 //!   **shrinking** (bound-pinned coordinates whose projected gradient
 //!   exceeds the previous epoch's worst violation are dropped from the
 //!   sweep, with a full unshrink-and-recheck pass before convergence is
-//!   declared), optional **warm-started duals** via the
-//!   `train_view_warm` entry points, and the blocked
-//!   [`frac_dataset::DesignView::row_dot_blocked`] kernels in the inner
-//!   loop. Iteration order differs from the reference, so results agree
-//!   with it only to solver tolerance — the equivalence tests gate on
-//!   NS-score tolerance and identical anomaly rankings, not bits.
-//! * [`SolverMode::Strict`] — the original solvers, unchanged: full sweeps
-//!   in a seeded random permutation, sequential exact kernels. This is the
-//!   reference the fast path is validated against, and the path to use
-//!   when bit-reproducibility across machines matters more than speed.
+//!   declared), warm-started duals, the blocked
+//!   [`frac_dataset::DesignView::row_dot_blocked`] kernels over a packed
+//!   gather, and a division-free shuffle. Iteration order differs from the
+//!   reference, so results agree with it only to solver tolerance — the
+//!   equivalence tests gate on the dual objective, not bits.
+//! * [`SolverMode::Strict`] — the reference: the exact sequential
+//!   `row_dot_acc` / `axpy_row` kernels, the reference `SliceRandom`
+//!   shuffle, no shrinking, warm starts ignored. Its results depend only on
+//!   (data, config) and are bit-reproducible across machines;
+//!   `crates/learn/tests/dual_cd_reference.rs` pins them against a
+//!   standalone copy of the original strict solvers.
 //!
 //! [`stats`] exposes process-wide counters (solves, epochs, coordinate
-//! visits, dense sweep slots) that both paths bump once per solve; the
+//! visits, dense sweep slots) that every solve bumps once; the
 //! `perfsnapshot` bench resets and snapshots them to report
 //! epochs-to-converge and active-set occupancy per model family.
 
@@ -29,37 +45,31 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
+use crate::telemetry;
+use frac_dataset::split::derive_seed;
 use frac_dataset::{DesignView, PackedDesign};
+use rand::prelude::*;
+use rand::rngs::StdRng;
 
-/// Row-access surface the fast solvers' epoch loops are generic over.
+/// Row access for the primal gradient source.
 ///
-/// Two implementors: [`frac_dataset::PackedDesign`] — rows gathered into
+/// Three implementors: [`frac_dataset::PackedDesign`] — rows gathered into
 /// one contiguous buffer per solve, so the monomorphized hot loop makes a
-/// single unsegmented kernel call per visit — and `dyn DesignView`, the
+/// single unsegmented kernel call per visit; `dyn DesignView`, the
 /// zero-copy fallback for designs beyond the packing budget
-/// ([`PackedDesign::MAX_ELEMS`]). Strict mode never goes through this
-/// trait; it keeps the exact sequential per-view paths.
+/// ([`PackedDesign::MAX_ELEMS`]); and [`Sequential`], the strict reference
+/// kernels.
 pub(crate) trait SolverRows {
     /// Number of rows.
     fn n_rows(&self) -> usize;
     /// Number of design columns.
     fn n_cols(&self) -> usize;
-    /// `init + w · row(r)` (blocked kernel).
+    /// `init + w · row(r)`.
     fn dot(&self, r: usize, w: &[f64], init: f64) -> f64;
-    /// Mixed-precision `init + w · row(r)` (f32 products, f64 accumulate).
-    fn dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64;
-    /// `Σ_j row(r)[j]²` (blocked kernel).
+    /// `Σ_j row(r)[j]²`.
     fn sq_norm(&self, r: usize) -> f64;
-    /// `w += alpha · row(r)` (blocked kernel; bit-identical across tiers).
+    /// `w += alpha · row(r)`.
     fn axpy(&self, r: usize, alpha: f64, w: &mut [f64]);
-    /// Whether [`Self::dot_f32`] is served by a unit-stride packed f32
-    /// mirror. When false, the fast solvers' f32 mode falls back to the
-    /// full-precision f64 dot (and records the fallback in the
-    /// `solver_strategy` telemetry mask) instead of paying the
-    /// demote-per-visit kernel, which measures slower than f64.
-    fn has_f32(&self) -> bool {
-        false
-    }
 }
 
 impl SolverRows for PackedDesign {
@@ -75,20 +85,12 @@ impl SolverRows for PackedDesign {
         self.row_dot_blocked(r, w, init)
     }
 
-    fn dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        PackedDesign::row_dot_f32(self, r, w, init)
-    }
-
     fn sq_norm(&self, r: usize) -> f64 {
         self.row_sq_norm_blocked(r)
     }
 
     fn axpy(&self, r: usize, alpha: f64, w: &mut [f64]) {
         self.axpy_row_blocked(r, alpha, w);
-    }
-
-    fn has_f32(&self) -> bool {
-        PackedDesign::has_f32(self)
     }
 }
 
@@ -105,10 +107,6 @@ impl SolverRows for dyn DesignView + '_ {
         self.row_dot_blocked(r, w, init)
     }
 
-    fn dot_f32(&self, r: usize, w: &[f64], init: f64) -> f64 {
-        DesignView::row_dot_f32(self, r, w, init)
-    }
-
     fn sq_norm(&self, r: usize) -> f64 {
         self.row_sq_norm_blocked(r)
     }
@@ -118,41 +116,45 @@ impl SolverRows for dyn DesignView + '_ {
     }
 }
 
-/// When set, the fast solvers skip the per-solve [`PackedDesign`] gather
-/// and run their epoch loops through the zero-copy view path, as the
-/// pre-SIMD-tier fast path did. Bench-only (the `perfsnapshot` A/B pins
-/// its scalar-blocked baseline with this); packing changes results only
-/// within the fast path's tolerance contract.
-static FORCE_UNPACKED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+/// The strict parameter set's rows: a view through its exact sequential
+/// kernels, which fold in ascending column order on every view type.
+pub(crate) struct Sequential<'a>(pub &'a dyn DesignView);
 
-/// Force (or restore) the zero-copy view-path solver, skipping the
-/// per-solve design packing. Bench-only: `perfsnapshot` pins its
-/// scalar-blocked A/B baseline with this.
-pub fn force_unpacked_solver(on: bool) {
-    FORCE_UNPACKED.store(on, Ordering::Release);
+impl SolverRows for Sequential<'_> {
+    fn n_rows(&self) -> usize {
+        self.0.n_rows()
+    }
+
+    fn n_cols(&self) -> usize {
+        self.0.n_cols()
+    }
+
+    fn dot(&self, r: usize, w: &[f64], init: f64) -> f64 {
+        self.0.row_dot_acc(r, w, init)
+    }
+
+    fn sq_norm(&self, r: usize) -> f64 {
+        self.0.row_sq_norm(r)
+    }
+
+    fn axpy(&self, r: usize, alpha: f64, w: &mut [f64]) {
+        self.0.axpy_row(r, alpha, w);
+    }
 }
 
-/// Gather `x` for the fast epoch loops unless disabled or over-budget.
+/// Gather `x` for the fast loop, or `None` when it exceeds the packing
+/// budget (the caller then keeps the zero-copy view path).
 ///
 /// When a solve context is active (see [`pack_cache`]) and a cached gather
 /// matches it exactly, the cached [`PackedDesign`] is reused instead of
 /// re-gathered — ensemble members and one-vs-rest classes of the same
-/// (target, fold) problem then share one gather. `want_f32` additionally
-/// builds (or requires, on a cache hit) the contiguous f32 mirror for the
-/// mixed-precision dot kernel.
-pub(crate) fn pack_for_solve(x: &dyn DesignView, want_f32: bool) -> Option<Rc<PackedDesign>> {
-    if FORCE_UNPACKED.load(Ordering::Acquire) {
-        return None;
-    }
-    if let Some(hit) = pack_cache::lookup(x.n_rows(), x.n_cols(), want_f32) {
+/// (target, fold) problem then share one gather.
+pub(crate) fn pack_for_solve(x: &dyn DesignView) -> Option<Rc<PackedDesign>> {
+    if let Some(hit) = pack_cache::lookup(x.n_rows(), x.n_cols()) {
         stats::record_pack_reuse();
         return Some(hit);
     }
-    let mut packed = PackedDesign::from_view(x)?;
-    if want_f32 {
-        packed.ensure_f32();
-    }
-    let rc = Rc::new(packed);
+    let rc = Rc::new(PackedDesign::from_view(x)?);
     pack_cache::store(&rc);
     Some(rc)
 }
@@ -176,7 +178,7 @@ pub(crate) fn gram_for_solve(
     Ok((gram, true))
 }
 
-/// Which execution strategy the fast dual coordinate-descent loops use.
+/// Which gradient source the fast dual coordinate-descent loop uses.
 ///
 /// * `Primal` — maintain `w = Xᵀα` and evaluate each gradient with an
 ///   O(d) row dot (the PR 2/PR 6 path).
@@ -184,7 +186,8 @@ pub(crate) fn gram_for_solve(
 ///   maintain the dual gradient vector, making a coordinate visit an O(1)
 ///   gradient read plus an O(n) row-of-Q update; `w` is reconstructed once
 ///   at convergence. Wins when n ≪ d and Q fits in cache.
-/// * `Auto` — pick per solve via [`GramPolicy::should_use_gram`].
+/// * `Auto` — pick per solve via [`GramPolicy::should_use_gram`] on the
+///   default policy.
 ///
 /// Honoured only by [`SolverMode::Fast`]; the strict reference path always
 /// runs the exact sequential primal sweep. Gram and primal converge to the
@@ -234,26 +237,14 @@ impl std::fmt::Display for SolverStrategy {
 pub const STRATEGY_PRIMAL_CODE: u64 = 1;
 /// `solver_strategy` telemetry bit: a fast solve ran the Gram dual loop.
 pub const STRATEGY_GRAM_CODE: u64 = 2;
-/// `solver_strategy` telemetry bit: f32 mode served by the packed mirror.
-pub const STRATEGY_F32_PACKED_CODE: u64 = 4;
-/// `solver_strategy` telemetry bit: f32 mode requested but served as f64
-/// (no packed mirror available on this solve's path).
-pub const STRATEGY_F32_FALLBACK_CODE: u64 = 8;
 
 /// Human name(s) for a `solver_strategy` telemetry mask (the OR of the
 /// `STRATEGY_*_CODE` bits), comma-joined in flag order. `None` for an
-/// empty mask or one with unknown bits.
+/// empty mask or one with unknown bits (bits 4 and 8 were the retired f32
+/// mode's, so traces that carry them decode as unknown).
 pub fn describe_strategy_mask(mask: u64) -> Option<String> {
-    const FLAGS: [(u64, &str); 4] = [
-        (STRATEGY_PRIMAL_CODE, "primal"),
-        (STRATEGY_GRAM_CODE, "gram"),
-        (STRATEGY_F32_PACKED_CODE, "f32-packed"),
-        (STRATEGY_F32_FALLBACK_CODE, "f32-as-f64"),
-    ];
-    const KNOWN: u64 = STRATEGY_PRIMAL_CODE
-        | STRATEGY_GRAM_CODE
-        | STRATEGY_F32_PACKED_CODE
-        | STRATEGY_F32_FALLBACK_CODE;
+    const FLAGS: [(u64, &str); 2] = [(STRATEGY_PRIMAL_CODE, "primal"), (STRATEGY_GRAM_CODE, "gram")];
+    const KNOWN: u64 = STRATEGY_PRIMAL_CODE | STRATEGY_GRAM_CODE;
     if mask == 0 || mask & !KNOWN != 0 {
         return None;
     }
@@ -263,6 +254,7 @@ pub fn describe_strategy_mask(mask: u64) -> Option<String> {
 }
 
 /// Cost model deciding when [`SolverStrategy::Auto`] takes the Gram loop.
+/// `Auto` always reads [`GramPolicy::default`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GramPolicy {
     /// Use Gram only when `n² · 8` bytes fit this budget (inclusive), so Q
@@ -294,25 +286,6 @@ impl GramPolicy {
             && n.saturating_mul(n).saturating_mul(8) <= self.cache_budget_bytes
             && (d as f64) >= self.crossover_ratio * (n as f64)
     }
-}
-
-/// Process-wide [`GramPolicy`] for [`SolverStrategy::Auto`], as two atomics
-/// so the hot path's read is two relaxed loads. Bits of 0.25 = 0x3FD0….
-static GRAM_BUDGET_BYTES: AtomicU64 = AtomicU64::new(1 << 20);
-static GRAM_RATIO_BITS: AtomicU64 = AtomicU64::new(0x3FD0_0000_0000_0000);
-
-/// The process-wide auto-selection policy.
-pub fn gram_policy() -> GramPolicy {
-    GramPolicy {
-        cache_budget_bytes: GRAM_BUDGET_BYTES.load(Ordering::Relaxed) as usize,
-        crossover_ratio: f64::from_bits(GRAM_RATIO_BITS.load(Ordering::Relaxed)),
-    }
-}
-
-/// Override the process-wide auto-selection policy (bench sweeps, tuning).
-pub fn set_gram_policy(policy: GramPolicy) {
-    GRAM_BUDGET_BYTES.store(policy.cache_budget_bytes as u64, Ordering::Relaxed);
-    GRAM_RATIO_BITS.store(policy.crossover_ratio.to_bits(), Ordering::Relaxed);
 }
 
 /// A solve's Gram matrix `Q = XXᵀ + bias·𝟙` — n² doubles, symmetric, with
@@ -467,11 +440,7 @@ pub mod pack_cache {
         STATE.with(|s| s.borrow_mut().active = None);
     }
 
-    pub(crate) fn lookup(
-        n_rows: usize,
-        n_cols: usize,
-        want_f32: bool,
-    ) -> Option<Rc<PackedDesign>> {
+    pub(crate) fn lookup(n_rows: usize, n_cols: usize) -> Option<Rc<PackedDesign>> {
         STATE.with(|s| {
             let s = s.borrow();
             let (slot, rows) = s.active.as_ref()?;
@@ -485,7 +454,6 @@ pub mod pack_cache {
                         && e.rows == *rows
                         && e.packed.n_rows() == n_rows
                         && e.packed.n_cols() == n_cols
-                        && (!want_f32 || e.packed.has_f32())
                 })
                 .map(|e| Rc::clone(&e.packed))
         })
@@ -534,30 +502,528 @@ pub mod pack_cache {
     }
 }
 
+/// Which parameter set the dual coordinate-descent loop runs under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SolverMode {
+    /// Shrinking + warm starts + blocked kernels (default).
+    #[default]
+    Fast,
+    /// The reference: full sweeps, exact sequential kernels.
+    Strict,
+}
+
 /// Fisher–Yates with multiply-shift index sampling (Lemire) — no integer
-/// division. The fast solver paths shuffle the active set every epoch, so
-/// the reference shuffle's rejection sampling (two 64-bit divisions per
+/// division. The fast parameter set shuffles the active set every epoch,
+/// so the reference shuffle's rejection sampling (two 64-bit divisions per
 /// element) is measurable next to a blocked dot over a short row. The
 /// permutation is still a pure function of the RNG stream, just a
 /// different one than `SliceRandom::shuffle` draws — covered by the fast
 /// path's "iteration order differs from the reference" contract. Strict
 /// keeps the reference shuffle.
-pub(crate) fn shuffle_fast(v: &mut [usize], rng: &mut impl rand::RngCore) {
+fn shuffle_fast(v: &mut [usize], rng: &mut impl rand::RngCore) {
     for i in (1..v.len()).rev() {
         let j = (((rng.next_u64() as u128) * (i as u128 + 1)) >> 64) as usize;
         v.swap(i, j);
     }
 }
 
-/// Which coordinate-descent path [`crate::svr::SvrTrainer`] and
-/// [`crate::svc::SvcTrainer`] use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMode {
-    /// Shrinking + warm starts + blocked kernels (default).
-    #[default]
-    Fast,
-    /// The reference solver: full sweeps, exact sequential kernels.
+/// What one coordinate's Newton step does to its dual.
+pub(crate) enum Step {
+    /// Leave the dual where it is.
+    Hold,
+    /// Move the dual to this value (clamped into the box) and fold the
+    /// change into the gradient source.
+    To(f64),
+    /// Zero the dual without touching the gradient source: the row is
+    /// empty, so the objective is linear in this coordinate.
+    Zero,
+}
+
+/// The loss half of a dual coordinate-descent solve: the box, the
+/// gradient assembly, the violation, the shrink rule and the Newton step.
+pub(crate) trait Loss {
+    /// Clamp a warm-start dual into the feasible box.
+    fn clamp(&self, a: f64) -> f64;
+    /// The multiplier `sᵢ` with `w = Σ αᵢ sᵢ xᵢ` (the label under hinge
+    /// loss, 1 under ε-insensitive loss).
+    fn sign(&self, i: usize) -> f64;
+    /// The dual gradient of coordinate `i`.
+    fn gradient<G: GradientSource>(&self, src: &G, i: usize) -> f64;
+    /// Whether a coordinate pinned at a bound has a gradient pointing out
+    /// of the box by more than `thr`, so the sweep can drop it until the
+    /// recheck.
+    fn shrink(&self, a: f64, g: f64, thr: f64) -> bool;
+    /// Projected-gradient violation (liblinear's stopping criterion): at a
+    /// bound, only a gradient pointing back into the box counts.
+    fn violation(&self, a: f64, g: f64) -> f64;
+    /// The Newton step on coordinate curvature `h`, given the violation
+    /// just computed.
+    fn step(&self, a: f64, g: f64, h: f64, violation: f64) -> Step;
+}
+
+/// ε-insensitive loss (SVR): duals βᵢ ∈ [−C, C], gradient `w·xᵢ − yᵢ`
+/// shifted by ±ε on either side of zero.
+pub(crate) struct EpsInsensitive<'a> {
+    /// Regression targets.
+    pub y: &'a [f64],
+    /// Box bound C.
+    pub c: f64,
+    /// Tube half-width ε.
+    pub epsilon: f64,
+}
+
+impl Loss for EpsInsensitive<'_> {
+    #[inline]
+    fn clamp(&self, a: f64) -> f64 {
+        a.clamp(-self.c, self.c)
+    }
+
+    #[inline]
+    fn sign(&self, _i: usize) -> f64 {
+        1.0
+    }
+
+    /// The primal source folds `−yᵢ` into its dot's initial value; the
+    /// Gram source adds it after reading `(Qβ)ᵢ`.
+    #[inline]
+    fn gradient<G: GradientSource>(&self, src: &G, i: usize) -> f64 {
+        src.margin(i, -self.y[i])
+    }
+
+    #[inline]
+    fn shrink(&self, b: f64, g: f64, thr: f64) -> bool {
+        let (gp, gn) = (g + self.epsilon, g - self.epsilon);
+        if b == 0.0 {
+            gp > thr && gn < -thr
+        } else if b >= self.c {
+            gp < -thr
+        } else if b <= -self.c {
+            gn > thr
+        } else {
+            false
+        }
+    }
+
+    #[inline]
+    fn violation(&self, b: f64, g: f64) -> f64 {
+        let (gp, gn) = (g + self.epsilon, g - self.epsilon);
+        if b == 0.0 {
+            if gp < 0.0 {
+                -gp
+            } else if gn > 0.0 {
+                gn
+            } else {
+                0.0
+            }
+        } else if b >= self.c {
+            gp.max(0.0)
+        } else if b <= -self.c {
+            (-gn).max(0.0)
+        } else if b > 0.0 {
+            gp.abs()
+        } else {
+            gn.abs()
+        }
+    }
+
+    /// Newton step on the piecewise-quadratic dual coordinate.
+    #[inline]
+    fn step(&self, b: f64, g: f64, h: f64, _violation: f64) -> Step {
+        if h <= 0.0 {
+            return Step::Zero;
+        }
+        let (gp, gn) = (g + self.epsilon, g - self.epsilon);
+        let dstep = if gp < h * b {
+            -gp / h
+        } else if gn > h * b {
+            -gn / h
+        } else {
+            -b
+        };
+        if dstep.abs() >= 1e-14 {
+            Step::To((b + dstep).clamp(-self.c, self.c))
+        } else {
+            Step::Hold
+        }
+    }
+}
+
+/// Hinge loss (binary C-SVC): duals αᵢ ∈ [0, C], labels ±1, gradient
+/// `yᵢ (w·xᵢ) − 1`.
+pub(crate) struct Hinge<'a> {
+    /// ±1 labels.
+    pub labels: &'a [f64],
+    /// Box bound C.
+    pub c: f64,
+}
+
+impl Loss for Hinge<'_> {
+    #[inline]
+    fn clamp(&self, a: f64) -> f64 {
+        a.clamp(0.0, self.c)
+    }
+
+    #[inline]
+    fn sign(&self, i: usize) -> f64 {
+        self.labels[i]
+    }
+
+    /// `−0.0` is the exact additive identity, so the margin carries no
+    /// offset on either source.
+    #[inline]
+    fn gradient<G: GradientSource>(&self, src: &G, i: usize) -> f64 {
+        self.labels[i] * src.margin(i, -0.0) - 1.0
+    }
+
+    #[inline]
+    fn shrink(&self, a: f64, g: f64, thr: f64) -> bool {
+        if a == 0.0 {
+            g > thr
+        } else if a >= self.c {
+            g < -thr
+        } else {
+            false
+        }
+    }
+
+    #[inline]
+    fn violation(&self, a: f64, g: f64) -> f64 {
+        let pg = if a == 0.0 {
+            g.min(0.0)
+        } else if a >= self.c {
+            g.max(0.0)
+        } else {
+            g
+        };
+        pg.abs()
+    }
+
+    #[inline]
+    fn step(&self, a: f64, g: f64, h: f64, violation: f64) -> Step {
+        if violation > 1e-14 && h > 0.0 {
+            Step::To((a - g / h).clamp(0.0, self.c))
+        } else {
+            Step::Hold
+        }
+    }
+}
+
+/// The gradient half of a dual coordinate-descent solve.
+pub(crate) trait GradientSource {
+    /// `Q_ii`, the coordinate's curvature (bias included).
+    fn diag(&self, i: usize) -> f64;
+    /// `init + w·xᵢ + w_bias·bias²` (primal, `init` folded into the dot)
+    /// or `(Qα)ᵢ + init` (Gram).
+    fn margin(&self, i: usize, init: f64) -> f64;
+    /// Fold a dual change, already multiplied by the loss's sign, into the
+    /// maintained state.
+    fn update(&mut self, i: usize, coef: f64);
+}
+
+/// Primal rows: maintains `w` and `w_bias` (bias as a constant feature).
+struct Primal<'a, R: SolverRows + ?Sized> {
+    rows: &'a R,
+    q_diag: Vec<f64>,
+    w: Vec<f64>,
+    w_bias: f64,
+    bias_sq: f64,
+}
+
+impl<'a, R: SolverRows + ?Sized> Primal<'a, R> {
+    fn new(rows: &'a R, bias_sq: f64) -> Self {
+        // Q_ii = x_i·x_i (+1 for the bias augmentation).
+        let q_diag = (0..rows.n_rows()).map(|i| rows.sq_norm(i) + bias_sq).collect();
+        Primal { rows, q_diag, w: vec![0.0; rows.n_cols()], w_bias: 0.0, bias_sq }
+    }
+}
+
+impl<R: SolverRows + ?Sized> GradientSource for Primal<'_, R> {
+    #[inline]
+    fn diag(&self, i: usize) -> f64 {
+        self.q_diag[i]
+    }
+
+    #[inline]
+    fn margin(&self, i: usize, init: f64) -> f64 {
+        self.rows.dot(i, &self.w, init + self.w_bias * self.bias_sq)
+    }
+
+    #[inline]
+    fn update(&mut self, i: usize, coef: f64) {
+        self.rows.axpy(i, coef, &mut self.w);
+        self.w_bias += coef * self.bias_sq;
+    }
+}
+
+/// Gram rows: maintains `qa = Qα` (each entry already `w·xᵢ + w_bias·bias²`
+/// because Q folds the bias in); `w` is rebuilt once at the end.
+struct GramRows<'a> {
+    q: &'a GramMatrix,
+    qa: Vec<f64>,
+}
+
+impl GradientSource for GramRows<'_> {
+    #[inline]
+    fn diag(&self, i: usize) -> f64 {
+        self.q.diag(i)
+    }
+
+    #[inline]
+    fn margin(&self, i: usize, init: f64) -> f64 {
+        self.qa[i] + init
+    }
+
+    #[inline]
+    fn update(&mut self, i: usize, coef: f64) {
+        frac_dataset::kernels::axpy_blocked(coef, self.q.row(i), &mut self.qa);
+    }
+}
+
+/// Loop parameters shared by every loss and source.
+struct Sweep {
+    max_epochs: u64,
+    tolerance: f64,
+    seed: u64,
+    /// The strict parameter set: reference shuffle, no shrinking, warm
+    /// start ignored.
+    strict: bool,
+}
+
+/// The dual coordinate-descent loop: returns the duals, epochs run and
+/// coordinates visited. The budget is polled once per epoch.
+fn dual_cd<L: Loss, G: GradientSource>(
+    loss: &L,
+    src: &mut G,
+    n: usize,
+    warm: Option<&[f64]>,
+    sweep: &Sweep,
+    budget: &TargetBudget,
+) -> Result<(Vec<f64>, u64, u64), TrainError> {
+    let mut alpha = vec![0.0f64; n];
+    if let Some(warm) = warm.filter(|_| !sweep.strict) {
+        debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
+        for (i, &wv) in warm.iter().enumerate() {
+            // Any feasible point is a valid start, so a caller may pass
+            // duals fit under a different C.
+            let a = loss.clamp(wv);
+            if a != 0.0 {
+                alpha[i] = a;
+                src.update(i, a * loss.sign(i));
+            }
+        }
+    }
+
+    let mut active: Vec<usize> = (0..n).collect();
+    let mut shrink_thr = f64::INFINITY;
+    let mut epochs = 0u64;
+    let mut visits = 0u64;
+    while epochs < sweep.max_epochs {
+        budget.check()?;
+        let mut rng = StdRng::seed_from_u64(derive_seed(sweep.seed, epochs));
+        if sweep.strict {
+            active.shuffle(&mut rng);
+        } else {
+            shuffle_fast(&mut active, &mut rng);
+        }
+        let mut max_violation = 0.0f64;
+
+        let mut idx = 0usize;
+        while idx < active.len() {
+            let i = active[idx];
+            let g = loss.gradient(src, i);
+            visits += 1;
+            let a = alpha[i];
+            if loss.shrink(a, g, shrink_thr) {
+                active.swap_remove(idx);
+                continue;
+            }
+            let violation = loss.violation(a, g);
+            max_violation = max_violation.max(violation);
+            match loss.step(a, g, src.diag(i), violation) {
+                Step::Hold => {}
+                Step::Zero => alpha[i] = 0.0,
+                Step::To(a_new) => {
+                    let delta = a_new - a;
+                    if delta != 0.0 {
+                        alpha[i] = a_new;
+                        src.update(i, delta * loss.sign(i));
+                    }
+                }
+            }
+            idx += 1;
+        }
+
+        epochs += 1;
+        if max_violation < sweep.tolerance {
+            if active.len() == n {
+                break;
+            }
+            // Unshrink and recheck: restore every coordinate and run one
+            // full pass with shrinking disabled (infinite threshold).
+            active = (0..n).collect();
+            shrink_thr = f64::INFINITY;
+        } else if !sweep.strict {
+            shrink_thr = max_violation;
+        }
+    }
+    Ok((alpha, epochs, visits))
+}
+
+/// How a training call's rows reach the loop, chosen once per call so
+/// one-vs-rest classes share one gather and one Gram build.
+pub(crate) enum Rows {
+    /// The strict parameter set over the exact sequential kernels.
     Strict,
+    /// Fast, over the zero-copy view (the design was too large to pack).
+    View,
+    /// Fast primal over a packed gather.
+    Packed(Rc<PackedDesign>),
+    /// Fast Gram over a packed gather and its Q.
+    Gram(Rc<PackedDesign>, Rc<GramMatrix>),
+}
+
+impl Rows {
+    /// Pick the rows for `x` under `mode` and `strategy`. Also returns the
+    /// flops of a Gram build this call paid for (0 on a cache hit).
+    pub(crate) fn prepare(
+        x: &dyn DesignView,
+        mode: SolverMode,
+        strategy: SolverStrategy,
+        bias_sq: f64,
+        budget: &TargetBudget,
+    ) -> Result<(Rows, u64), TrainError> {
+        let (n, d) = (x.n_rows(), x.n_cols());
+        if mode == SolverMode::Strict {
+            return Ok((Rows::Strict, 0));
+        }
+        let packed = if n > 0 { pack_for_solve(x) } else { None };
+        let Some(packed) = packed else { return Ok((Rows::View, 0)) };
+        let use_gram = match strategy {
+            SolverStrategy::Primal => false,
+            SolverStrategy::Gram => true,
+            SolverStrategy::Auto => GramPolicy::default().should_use_gram(n, d),
+        };
+        if !use_gram {
+            return Ok((Rows::Packed(packed), 0));
+        }
+        let (gram, built) = gram_for_solve(&packed, bias_sq, budget)?;
+        let flops = if built { GramMatrix::build_flops(n, d) } else { 0 };
+        Ok((Rows::Gram(packed, gram), flops))
+    }
+}
+
+/// Per-solve settings taken from a trainer's config.
+pub(crate) struct DualParams {
+    /// Epoch cap.
+    pub max_epochs: usize,
+    /// Stop once an epoch's worst violation falls below this.
+    pub tolerance: f64,
+    /// Seed of the per-epoch permutations.
+    pub seed: u64,
+    /// 1 with a bias term (constant-feature augmentation), else 0.
+    pub bias_sq: f64,
+}
+
+/// The result of one dual solve.
+pub(crate) struct DualSolve {
+    /// Primal weights.
+    pub w: Vec<f64>,
+    /// Bias weight (meaningful only when the bias is on).
+    pub w_bias: f64,
+    /// Final duals, one per row.
+    pub alpha: Vec<f64>,
+    /// Epochs run.
+    pub epochs: u64,
+    /// Coordinates whose gradient was evaluated (`epochs · n` under
+    /// strict; fewer under shrinking).
+    pub visits: u64,
+    /// `STRATEGY_*` bits of the source used (0 under strict).
+    pub path_bits: u64,
+    /// Flops performed, priced per source: O(d) per primal visit, O(n)
+    /// per Gram visit plus the final `w` rebuild. A Gram build is charged
+    /// by [`Rows::prepare`]'s caller, not here.
+    pub flops: u64,
+}
+
+/// Run one dual solve of `loss` over `x` through `rows`, and record its
+/// solver stats and telemetry counters. The caller holds the
+/// [`telemetry::Stage::Solve`] span, which also covers [`Rows::prepare`].
+pub(crate) fn solve<L: Loss>(
+    loss: &L,
+    x: &dyn DesignView,
+    rows: &Rows,
+    warm: Option<&[f64]>,
+    params: &DualParams,
+    budget: &TargetBudget,
+) -> Result<DualSolve, TrainError> {
+    let (n, d) = (x.n_rows(), x.n_cols());
+    let sweep = Sweep {
+        max_epochs: params.max_epochs as u64,
+        tolerance: params.tolerance,
+        seed: params.seed,
+        strict: matches!(rows, Rows::Strict),
+    };
+    let out = match rows {
+        Rows::Strict => run_primal(loss, &Sequential(x), warm, &sweep, params.bias_sq, budget, 0)?,
+        Rows::View => {
+            run_primal(loss, x, warm, &sweep, params.bias_sq, budget, STRATEGY_PRIMAL_CODE)?
+        }
+        Rows::Packed(p) => run_primal(
+            loss,
+            p.as_ref(),
+            warm,
+            &sweep,
+            params.bias_sq,
+            budget,
+            STRATEGY_PRIMAL_CODE,
+        )?,
+        Rows::Gram(p, q) => {
+            let mut src = GramRows { q, qa: vec![0.0; n] };
+            let (alpha, epochs, visits) = dual_cd(loss, &mut src, n, warm, &sweep, budget)?;
+            // Rebuild the primal once: w = Σ αᵢ sᵢ xᵢ over the support.
+            let mut w = vec![0.0f64; d];
+            let mut w_bias = 0.0f64;
+            let mut nnz = 0u64;
+            for (i, &a) in alpha.iter().enumerate() {
+                if a != 0.0 {
+                    let scaled = a * loss.sign(i);
+                    p.axpy_row_blocked(i, scaled, &mut w);
+                    w_bias += scaled * params.bias_sq;
+                    nnz += 1;
+                }
+            }
+            stats::record_gram_solve();
+            // Per visit: O(1) gradient + O(n+1) row-of-Q axpy (~4 flops
+            // per entry); plus the O(nnz·d) rebuild.
+            let flops = visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
+            DualSolve { w, w_bias, alpha, epochs, visits, path_bits: STRATEGY_GRAM_CODE, flops }
+        }
+    };
+    stats::record(out.epochs, out.visits, out.epochs * n as u64);
+    telemetry::counter_add(telemetry::Counter::SolverEpochs, out.epochs);
+    telemetry::counter_add(telemetry::Counter::SolverVisits, out.visits);
+    if out.path_bits != 0 {
+        telemetry::counter_add(telemetry::Counter::SolverStrategy, out.path_bits);
+    }
+    Ok(out)
+}
+
+/// [`dual_cd`] over primal rows.
+fn run_primal<L: Loss, R: SolverRows + ?Sized>(
+    loss: &L,
+    rows: &R,
+    warm: Option<&[f64]>,
+    sweep: &Sweep,
+    bias_sq: f64,
+    budget: &TargetBudget,
+    path_bits: u64,
+) -> Result<DualSolve, TrainError> {
+    let mut src = Primal::new(rows, bias_sq);
+    let (alpha, epochs, visits) = dual_cd(loss, &mut src, rows.n_rows(), warm, sweep, budget)?;
+    // Every visit touches its (d+1) augmented columns twice (gradient +
+    // update), ~4 flops each.
+    let flops = visits * ((rows.n_cols() as u64) + 1) * 4;
+    Ok(DualSolve { w: src.w, w_bias: src.w_bias, alpha, epochs, visits, path_bits, flops })
 }
 
 /// Process-wide solver instrumentation (see module docs).
@@ -695,15 +1161,10 @@ mod tests {
             describe_strategy_mask(STRATEGY_PRIMAL_CODE | STRATEGY_GRAM_CODE).as_deref(),
             Some("primal,gram")
         );
-        assert_eq!(
-            describe_strategy_mask(STRATEGY_GRAM_CODE | STRATEGY_F32_PACKED_CODE).as_deref(),
-            Some("gram,f32-packed")
-        );
-        assert_eq!(
-            describe_strategy_mask(STRATEGY_F32_FALLBACK_CODE).as_deref(),
-            Some("f32-as-f64")
-        );
         assert_eq!(describe_strategy_mask(0), None);
+        // Bits 4 and 8 belonged to the retired f32 mode: unknown now.
+        assert_eq!(describe_strategy_mask(4), None);
+        assert_eq!(describe_strategy_mask(STRATEGY_GRAM_CODE | 8), None);
         assert_eq!(describe_strategy_mask(16), None);
         assert_eq!(describe_strategy_mask(1 | 16), None);
     }
@@ -739,16 +1200,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_policy_process_override_round_trips() {
-        let prev = gram_policy();
-        let custom = GramPolicy { cache_budget_bytes: 123 * 8, crossover_ratio: 3.5 };
-        set_gram_policy(custom);
-        assert_eq!(gram_policy(), custom);
-        set_gram_policy(prev);
-        assert_eq!(gram_policy(), prev);
-    }
-
-    #[test]
     fn gram_matrix_is_symmetric_with_bias_folded() {
         use frac_dataset::DesignMatrix;
         let x = DesignMatrix::from_raw(3, 2, vec![1.0, 2.0, -0.5, 0.25, 3.0, -1.0]);
@@ -771,27 +1222,22 @@ mod tests {
         let x = DesignMatrix::from_raw(4, 2, vec![0.0; 8]);
         pack_cache::begin_scope(0xDEAD);
         pack_cache::set_rows(7, &[0, 1, 2, 3]);
-        let a = pack_for_solve(&x, false).unwrap();
-        let b = pack_for_solve(&x, false).unwrap();
+        let a = pack_for_solve(&x).unwrap();
+        let b = pack_for_solve(&x).unwrap();
         assert!(Rc::ptr_eq(&a, &b), "same scope+slot+rows must reuse the gather");
         // Same slot, different rows: exact row comparison rejects reuse.
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
-        let c = pack_for_solve(&x, false).unwrap();
+        let c = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&a, &c));
-        // f32 mirror demanded later: the plain cached pack is not reused.
-        let d = pack_for_solve(&x, true).unwrap();
-        assert!(!Rc::ptr_eq(&c, &d) && d.has_f32());
-        let e = pack_for_solve(&x, false).unwrap();
-        assert!(Rc::ptr_eq(&d, &e), "a mirrored pack serves plain lookups too");
         // Scope change drops everything.
         pack_cache::begin_scope(0xBEEF);
         pack_cache::set_rows(7, &[0, 1, 3, 2]);
-        let f = pack_for_solve(&x, false).unwrap();
-        assert!(!Rc::ptr_eq(&d, &f));
+        let f = pack_for_solve(&x).unwrap();
+        assert!(!Rc::ptr_eq(&c, &f));
         // No active context: packs are fresh every time.
         pack_cache::clear_rows();
-        let g = pack_for_solve(&x, false).unwrap();
-        let h = pack_for_solve(&x, false).unwrap();
+        let g = pack_for_solve(&x).unwrap();
+        let h = pack_for_solve(&x).unwrap();
         assert!(!Rc::ptr_eq(&g, &h));
         pack_cache::begin_scope(0);
     }
@@ -802,7 +1248,7 @@ mod tests {
         let x = DesignMatrix::from_raw(3, 4, (0..12).map(|v| v as f64).collect());
         pack_cache::begin_scope(0xCAFE);
         pack_cache::set_rows(1, &[0, 1, 2]);
-        let packed = pack_for_solve(&x, false).unwrap();
+        let packed = pack_for_solve(&x).unwrap();
         let unlimited = TargetBudget::unlimited();
         let (q1, built1) = gram_for_solve(&packed, 1.0, &unlimited).unwrap();
         let (q2, built2) = gram_for_solve(&packed, 1.0, &unlimited).unwrap();

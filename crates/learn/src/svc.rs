@@ -10,22 +10,20 @@
 //! one of the ablations our bench harness reproduces — so the classifier is
 //! a first-class substrate here.
 //!
-//! Like [`crate::svr`], the trainer has two solver paths selected by
-//! [`SolverMode`]: the strict reference sweep, and a fast path with
-//! liblinear-style active-set shrinking, warm-started per-class duals, and
-//! blocked view kernels (see [`crate::solver`] for the contract).
+//! Like [`crate::svr`], each binary problem runs the shared dual
+//! coordinate-descent loop of [`crate::solver`], here under its hinge loss,
+//! with the strict reference parameter set or the fast one (liblinear-style
+//! active-set shrinking, warm-started per-class duals, blocked kernels).
 
 use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
-use crate::solver::{stats, GramMatrix, SolverMode, SolverRows, SolverStrategy};
+use crate::solver::{self, DualParams, Hinge, Rows, SolverMode, SolverStrategy};
 use crate::telemetry;
 use crate::traits::{Classifier, ClassifierTrainer, Trained, TrainingCost};
 use frac_dataset::codec::{RecordRead, RecordWrite};
 use frac_dataset::split::derive_seed;
-use frac_dataset::{DesignView, PackedDesign};
+use frac_dataset::DesignView;
 use frac_dataset::textio::TextError;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 /// Hyperparameters for [`LinearSvc`] training.
 #[derive(Debug, Clone, Copy)]
@@ -42,10 +40,6 @@ pub struct SvcConfig {
     pub seed: u64,
     /// Solver path: fast (shrinking + warm starts, default) or strict.
     pub mode: SolverMode,
-    /// Compute gradient dot products in f32 with f64 accumulation
-    /// ([`frac_dataset::DesignView::row_dot_f32`]). Honoured only on the
-    /// fast path — strict always runs the exact sequential f64 kernels.
-    pub f32_compute: bool,
     /// Fast-path execution strategy: Gram-matrix dual maintenance, primal
     /// maintenance, or cost-model auto-selection (default). Strict mode
     /// ignores this and always runs the primal reference sweep. Under the
@@ -66,7 +60,6 @@ impl Default for SvcConfig {
             bias: true,
             seed: 0x0c1a_55e5,
             mode: SolverMode::Fast,
-            f32_compute: false,
             strategy: SolverStrategy::Auto,
         }
     }
@@ -153,361 +146,14 @@ impl SvcTrainer {
         SvcTrainer { config }
     }
 
-    /// Strict reference sweep for one binary (±1) problem: every coordinate
-    /// every epoch, exact sequential kernels, warm start ignored.
-    fn solve_binary_strict(
-        &self,
-        x: &dyn DesignView,
-        labels: &[f64],
-        class_seed: u64,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        let q_diag: Vec<f64> = (0..n).map(|i| x.row_sq_norm(i) + bias_sq).collect();
-
-        let mut alpha = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epochs_run = 0u64;
-
-        for epoch in 0..cfg.max_epochs {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(class_seed, epoch as u64));
-            order.shuffle(&mut rng);
-            let mut max_violation = 0.0f64;
-
-            for &i in &order {
-                let yi = labels[i];
-                // G = y_i wᵀx_i − 1 (ascending-column fold, see svr.rs)
-                let mut g = x.row_dot_acc(i, &w, w_bias * bias_sq);
-                g = yi * g - 1.0;
-
-                let a = alpha[i];
-                let pg = if a == 0.0 {
-                    g.min(0.0)
-                } else if a >= cfg.c {
-                    g.max(0.0)
-                } else {
-                    g
-                };
-                max_violation = max_violation.max(pg.abs());
-
-                if pg.abs() > 1e-14 && q_diag[i] > 0.0 {
-                    let a_new = (a - g / q_diag[i]).clamp(0.0, cfg.c);
-                    let delta = (a_new - a) * yi;
-                    if delta != 0.0 {
-                        alpha[i] = a_new;
-                        x.axpy_row(i, delta, &mut w);
-                        w_bias += delta * bias_sq;
-                    }
-                }
-            }
-
-            epochs_run = (epoch + 1) as u64;
-            if max_violation < cfg.tolerance {
-                break;
-            }
-        }
-        let visits = epochs_run * n as u64;
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvcSolve { w, w_bias, alpha, epochs: epochs_run, visits, path_bits: 0, flops })
-    }
-
-    /// The Gram-strategy fast loop for one binary problem: identical sweep
-    /// order, shrinking, and stopping logic to
-    /// [`SvcTrainer::solve_binary_fast_rows`], but the gradient comes from
-    /// a maintained dual image `qs[i] = Σ_j Q_ij α_j y_j` (= w·x_i +
-    /// w_bias·bias, since Q folds the bias in) instead of an O(d) primal
-    /// dot. Q is label-independent, so every one-vs-rest class reuses the
-    /// same matrix. Always full f64.
-    fn solve_binary_fast_gram(
-        &self,
-        x: &PackedDesign,
-        q: &GramMatrix,
-        labels: &[f64],
-        class_seed: u64,
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-
-        let mut alpha = vec![0.0f64; n];
-        let mut qs = vec![0.0f64; n];
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                let a = wv.clamp(0.0, cfg.c);
-                if a != 0.0 {
-                    alpha[i] = a;
-                    frac_dataset::kernels::axpy_blocked(a * labels[i], q.row(i), &mut qs);
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(class_seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let yi = labels[i];
-                let g = yi * qs[i] - 1.0;
-                visits += 1;
-
-                let a = alpha[i];
-                let shrink = if a == 0.0 {
-                    g > shrink_thr
-                } else if a >= cfg.c {
-                    g < -shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                let pg = if a == 0.0 {
-                    g.min(0.0)
-                } else if a >= cfg.c {
-                    g.max(0.0)
-                } else {
-                    g
-                };
-                max_violation = max_violation.max(pg.abs());
-
-                let h = q.diag(i);
-                if pg.abs() > 1e-14 && h > 0.0 {
-                    let a_new = (a - g / h).clamp(0.0, cfg.c);
-                    let delta = (a_new - a) * yi;
-                    if delta != 0.0 {
-                        alpha[i] = a_new;
-                        frac_dataset::kernels::axpy_blocked(delta, q.row(i), &mut qs);
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        // Reconstruct the primal once: w = Σ α_i y_i x_i over the support.
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut nnz = 0u64;
-        for (i, &a) in alpha.iter().enumerate() {
-            if a != 0.0 {
-                let scaled = a * labels[i];
-                x.axpy_row_blocked(i, scaled, &mut w);
-                w_bias += scaled * bias_sq;
-                nnz += 1;
-            }
-        }
-
-        stats::record_gram_solve();
-        let flops = visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
-        Ok(SvcSolve {
-            w,
-            w_bias,
-            alpha,
-            epochs,
-            visits,
-            path_bits: crate::solver::STRATEGY_GRAM_CODE,
-            flops,
-        })
-    }
-
-    /// Fast primal-maintenance path for one binary problem: active-set
-    /// shrinking, optional warm-started duals, blocked kernels. Mirrors the
-    /// SVR fast path; the box here is `[0, C]` (hinge loss), so the shrink
-    /// conditions are the one-sided liblinear ones.
-    fn solve_binary_fast_rows<X: SolverRows + ?Sized>(
-        &self,
-        x: &X,
-        labels: &[f64],
-        class_seed: u64,
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        let q_diag: Vec<f64> = (0..n).map(|i| x.sq_norm(i) + bias_sq).collect();
-
-        let mut alpha = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                let a = wv.clamp(0.0, cfg.c);
-                if a != 0.0 {
-                    alpha[i] = a;
-                    let scaled = a * labels[i];
-                    x.axpy(i, scaled, &mut w);
-                    w_bias += scaled * bias_sq;
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-        // f32 mode needs the packed f32 mirror; without it the
-        // demote-per-visit kernel is slower than f64, so fall back and
-        // record which happened (see svr.rs).
-        let f32_dot = cfg.f32_compute && x.has_f32();
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(class_seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let yi = labels[i];
-                let mut g = if f32_dot {
-                    x.dot_f32(i, &w, w_bias * bias_sq)
-                } else {
-                    x.dot(i, &w, w_bias * bias_sq)
-                };
-                g = yi * g - 1.0;
-                visits += 1;
-
-                let a = alpha[i];
-                // Shrink: pinned at a box edge with the gradient pointing
-                // firmly out of the feasible interval.
-                let shrink = if a == 0.0 {
-                    g > shrink_thr
-                } else if a >= cfg.c {
-                    g < -shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                let pg = if a == 0.0 {
-                    g.min(0.0)
-                } else if a >= cfg.c {
-                    g.max(0.0)
-                } else {
-                    g
-                };
-                max_violation = max_violation.max(pg.abs());
-
-                if pg.abs() > 1e-14 && q_diag[i] > 0.0 {
-                    let a_new = (a - g / q_diag[i]).clamp(0.0, cfg.c);
-                    let delta = (a_new - a) * yi;
-                    if delta != 0.0 {
-                        alpha[i] = a_new;
-                        x.axpy(i, delta, &mut w);
-                        w_bias += delta * bias_sq;
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                // Unshrink and recheck before declaring convergence.
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        let path_bits = crate::solver::STRATEGY_PRIMAL_CODE
-            | if f32_dot {
-                crate::solver::STRATEGY_F32_PACKED_CODE
-            } else if cfg.f32_compute {
-                crate::solver::STRATEGY_F32_FALLBACK_CODE
-            } else {
-                0
-            };
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvcSolve { w, w_bias, alpha, epochs, visits, path_bits, flops })
-    }
-
-    /// Dispatch one binary problem on the configured [`SolverMode`] and
-    /// record solver stats. `packed`/`gram` carry the per-train fast-path
-    /// context hoisted by [`SvcTrainer::train_warm_impl`] (one gather and
-    /// at most one Q build shared by all one-vs-rest classes). Fails only
-    /// when `budget` trips (the budget is polled once per coordinate-descent
-    /// epoch).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_binary(
-        &self,
-        x: &dyn DesignView,
-        packed: Option<&PackedDesign>,
-        gram: Option<&GramMatrix>,
-        labels: &[f64],
-        class_seed: u64,
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvcSolve, TrainError> {
-        let span = telemetry::span(telemetry::Stage::Solve);
-        let out = match self.config.mode {
-            SolverMode::Strict => self.solve_binary_strict(x, labels, class_seed, budget)?,
-            SolverMode::Fast => match (packed, gram) {
-                (Some(p), Some(q)) => {
-                    self.solve_binary_fast_gram(p, q, labels, class_seed, warm, budget)?
-                }
-                (Some(p), None) => {
-                    self.solve_binary_fast_rows(p, labels, class_seed, warm, budget)?
-                }
-                _ => self.solve_binary_fast_rows(x, labels, class_seed, warm, budget)?,
-            },
-        };
-        drop(span);
-        stats::record(out.epochs, out.visits, out.epochs * x.n_rows() as u64);
-        telemetry::counter_add(telemetry::Counter::SolverEpochs, out.epochs);
-        telemetry::counter_add(telemetry::Counter::SolverVisits, out.visits);
-        if out.path_bits != 0 {
-            telemetry::counter_add(telemetry::Counter::SolverStrategy, out.path_bits);
-        }
-        Ok(out)
-    }
-
-    /// One-vs-rest solve over all classes with cooperative budget polling.
-    /// With an unlimited budget this is the arithmetic of
-    /// [`ClassifierTrainer::train_view_warm`], bit for bit.
+    /// One-vs-rest: one hinge-loss dual solve per class through
+    /// [`crate::solver`]. The fast-path gather — and, under the Gram
+    /// strategy, the O(n²d) Q build — is hoisted out of the per-class loop:
+    /// Q depends only on the design (labels enter the maintained gradient,
+    /// not the matrix), so every class shares one build. The budget is
+    /// polled once per epoch of every binary solve.
     #[allow(clippy::type_complexity)]
-    fn train_warm_impl(
+    fn train_classes(
         &self,
         x: &dyn DesignView,
         y: &[u32],
@@ -515,42 +161,15 @@ impl SvcTrainer {
         warm: Option<&[Vec<f64>]>,
         budget: &TargetBudget,
     ) -> Result<(Trained<LinearSvc>, Vec<Vec<f64>>), TrainError> {
-        assert_eq!(x.n_rows(), y.len(), "target length must match rows");
         let cfg = &self.config;
         let n = x.n_rows();
         let d = x.n_cols();
         let k = arity as usize;
-
-        // Hoist the fast-path gather — and, under the Gram strategy, the
-        // O(n²d) Q build — out of the per-class loop: Q depends only on the
-        // design (labels enter the maintained gradient, not the matrix), so
-        // every one-vs-rest class shares one build.
-        let packed = if cfg.mode == SolverMode::Fast && n > 0 {
-            crate::solver::pack_for_solve(x, cfg.f32_compute)
-        } else {
-            None
-        };
-        let mut total_flops = 0u64;
-        let gram = match &packed {
-            Some(p) => {
-                let use_gram = match cfg.strategy {
-                    SolverStrategy::Primal => false,
-                    SolverStrategy::Gram => true,
-                    SolverStrategy::Auto => crate::solver::gram_policy().should_use_gram(n, d),
-                };
-                if use_gram {
-                    let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-                    let (q, built) = crate::solver::gram_for_solve(p, bias_sq, budget)?;
-                    if built {
-                        total_flops += GramMatrix::build_flops(n, d);
-                    }
-                    Some(q)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
+        // One span per training call: the shared gather and Q build plus
+        // every class's solve.
+        let span = (n > 0).then(|| telemetry::span(telemetry::Stage::Solve));
+        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
+        let (rows, mut total_flops) = Rows::prepare(x, cfg.mode, cfg.strategy, bias_sq, budget)?;
 
         let mut hyperplanes = Vec::with_capacity(k);
         let mut duals = Vec::with_capacity(k);
@@ -566,23 +185,23 @@ impl SvcTrainer {
                 continue;
             }
             let class_warm = warm.and_then(|w| w.get(class)).map(|v| v.as_slice());
-            let out = self.solve_binary(
-                x,
-                packed.as_deref(),
-                gram.as_deref(),
-                &labels,
-                derive_seed(cfg.seed, class as u64),
-                class_warm,
-                budget,
-            )?;
+            let params = DualParams {
+                max_epochs: cfg.max_epochs,
+                tolerance: cfg.tolerance,
+                seed: derive_seed(cfg.seed, class as u64),
+                bias_sq,
+            };
+            let loss = Hinge { labels: &labels, c: cfg.c };
+            let out = solver::solve(&loss, x, &rows, class_warm, &params, budget)?;
             total_flops += out.flops;
-            used_gram |= out.path_bits & crate::solver::STRATEGY_GRAM_CODE != 0;
+            used_gram |= out.path_bits & solver::STRATEGY_GRAM_CODE != 0;
             hyperplanes.push((out.w, if cfg.bias { out.w_bias } else { 0.0 }));
             duals.push(out.alpha);
         }
+        drop(span);
 
         // Visit-based accounting (see svr.rs): flops are priced per path
-        // inside each solve (plus the shared Q build above, charged once);
+        // inside each solve (plus the shared Q build, charged once);
         // shrinking's skipped coordinates are not charged; warm-init
         // fold-in is priced by the CV driver once per dual vector, never
         // per solve.
@@ -604,68 +223,13 @@ impl SvcTrainer {
     }
 }
 
-/// The raw output of one binary SVC solve.
-struct SvcSolve {
-    w: Vec<f64>,
-    w_bias: f64,
-    alpha: Vec<f64>,
-    epochs: u64,
-    visits: u64,
-    /// `STRATEGY_*` mask bits for the path this solve took (0 on strict).
-    path_bits: u64,
-    /// Flops performed by this solve, priced per path (the shared Q build
-    /// is charged once by [`SvcTrainer::train_warm_impl`], not here).
-    flops: u64,
-}
-
 impl ClassifierTrainer for SvcTrainer {
     type Model = LinearSvc;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<LinearSvc> {
-        self.train_view_warm(x, y, arity, None).0
-    }
-
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> (Trained<LinearSvc>, Option<Vec<Vec<f64>>>) {
-        match self.train_warm_impl(x, y, arity, warm, &TargetBudget::unlimited()) {
-            Ok((trained, duals)) => (trained, Some(duals)),
-            Err(_) => unreachable!("unlimited budget cannot trip"),
-        }
-    }
-
-    /// Same one-vs-rest solve as the infallible path (bit-identical on
-    /// success), but validates the problem up front and rejects diverged
-    /// binary solves — any NaN/Inf hyperplane — as
-    /// [`TrainError::NonConvergence`].
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
-        fault::check_classification_problem(x, y)?;
-        let (trained, duals) = self.train_view_warm(x, y, arity, warm);
-        let diverged = trained.model.hyperplanes.iter().any(|(w, b)| {
-            !fault::all_finite(w) || !b.is_finite()
-        });
-        if diverged {
-            return Err(TrainError::NonConvergence {
-                epochs: self.config.max_epochs as u64,
-            });
-        }
-        Ok((trained, duals))
-    }
-
-    /// Budget-polling one-vs-rest solve: same arithmetic as the other
-    /// paths, with the budget checked once per epoch of every binary
-    /// sub-problem.
-    fn try_train_view_budgeted(
+    /// Validates the problem up front, polls the budget once per epoch of
+    /// every binary sub-problem, and rejects diverged binary solves — any
+    /// NaN/Inf hyperplane — as [`TrainError::NonConvergence`].
+    fn try_train(
         &self,
         x: &dyn DesignView,
         y: &[u32],
@@ -675,7 +239,7 @@ impl ClassifierTrainer for SvcTrainer {
     ) -> Result<(Trained<LinearSvc>, Option<Vec<Vec<f64>>>), TrainError> {
         fault::check_classification_problem(x, y)?;
         budget.check()?;
-        let (trained, duals) = self.train_warm_impl(x, y, arity, warm, budget)?;
+        let (trained, duals) = self.train_classes(x, y, arity, warm, budget)?;
         let diverged = trained.model.hyperplanes.iter().any(|(w, b)| {
             !fault::all_finite(w) || !b.is_finite()
         });
@@ -790,23 +354,21 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_path_matches_warm_path_and_trips_when_expired() {
+    fn try_train_matches_train_and_trips_when_expired() {
         use crate::budget::RunBudget;
         let x = matrix(&[&[-1.0], &[-0.5], &[0.5], &[1.0]]);
         let y = vec![0, 0, 1, 1];
         let t = SvcTrainer::default();
-        let (a, da) = t
-            .try_train_view_budgeted(&x, &y, 2, None, &TargetBudget::unlimited())
-            .unwrap();
-        let (b, db) = t.try_train_view_warm(&x, &y, 2, None).unwrap();
+        let (a, da) = t.try_train(&x, &y, 2, None, &TargetBudget::unlimited()).unwrap();
+        let b = t.train(&x, &y, 2);
         for k in 0..2 {
             assert_eq!(a.model.hyperplanes[k], b.model.hyperplanes[k]);
         }
-        assert_eq!(da, db);
+        assert_eq!(da.map(|d| d.len()), Some(2));
 
         let expired = RunBudget::with_deadline(std::time::Duration::from_secs(0)).start_target();
         assert_eq!(
-            t.try_train_view_budgeted(&x, &y, 2, None, &expired).unwrap_err(),
+            t.try_train(&x, &y, 2, None, &expired).unwrap_err(),
             TrainError::DeadlineExceeded
         );
     }

@@ -18,23 +18,21 @@
 //! permutation per epoch and maintaining `w = Σ βᵢ xᵢ` incrementally. A bias
 //! term is handled by the standard constant-feature augmentation.
 //!
-//! Two solver paths exist (see [`crate::solver`]): the **strict** reference
-//! sweep above, and the default **fast** path adding liblinear's two classic
-//! accelerations — active-set shrinking with an unshrink-and-recheck pass,
-//! and warm-started duals through [`RegressorTrainer::train_view_warm`] —
-//! on top of the blocked view kernels.
+//! The solve itself is the shared dual coordinate-descent loop of
+//! [`crate::solver`] under its ε-insensitive loss: the **strict** reference
+//! sweep above, or the default **fast** parameter set adding liblinear's two
+//! classic accelerations — active-set shrinking with an unshrink-and-recheck
+//! pass, and warm-started duals through [`RegressorTrainer::try_train`] — on
+//! top of the blocked kernels.
 
 use crate::budget::TargetBudget;
 use crate::fault::{self, TrainError};
-use crate::solver::{stats, GramMatrix, SolverMode, SolverRows, SolverStrategy};
+use crate::solver::{self, DualParams, EpsInsensitive, Rows, SolverMode, SolverStrategy};
 use crate::telemetry;
 use crate::traits::{Regressor, RegressorTrainer, Trained, TrainingCost};
 use frac_dataset::codec::{RecordRead, RecordWrite};
-use frac_dataset::split::derive_seed;
 use frac_dataset::DesignView;
 use frac_dataset::textio::TextError;
-use rand::prelude::*;
-use rand::rngs::StdRng;
 
 /// Hyperparameters for [`LinearSvr`] training.
 #[derive(Debug, Clone, Copy)]
@@ -54,13 +52,6 @@ pub struct SvrConfig {
     pub seed: u64,
     /// Solver path: fast (shrinking + warm starts, default) or strict.
     pub mode: SolverMode,
-    /// Compute gradient dot products in f32 with f64 accumulation
-    /// ([`frac_dataset::DesignView::row_dot_f32`]). Honoured only on the
-    /// fast path — strict always runs the exact sequential f64 kernels.
-    /// The weight updates (axpy) stay full f64, so the error is bounded by
-    /// the ~1.2e-7 relative rounding of each product, well inside the
-    /// solver tolerance it is meant to be paired with.
-    pub f32_compute: bool,
     /// Fast-path execution strategy: Gram-matrix dual maintenance, primal
     /// maintenance, or cost-model auto-selection (default). Strict mode
     /// ignores this and always runs the primal reference sweep.
@@ -84,7 +75,6 @@ impl Default for SvrConfig {
             bias: true,
             seed: 0x5f3c_9e1d,
             mode: SolverMode::Fast,
-            f32_compute: false,
             strategy: SolverStrategy::Auto,
         }
     }
@@ -145,436 +135,21 @@ pub struct SvrTrainer {
     pub config: SvrConfig,
 }
 
-/// The raw output of one dual solve: primal weights, duals, and work done.
-struct SvrSolve {
-    w: Vec<f64>,
-    w_bias: f64,
-    beta: Vec<f64>,
-    epochs: u64,
-    /// Coordinates whose gradient was evaluated (= dense `epochs · n` on the
-    /// strict path; less under shrinking).
-    visits: u64,
-    /// `STRATEGY_*` mask bits describing the path this solve actually took
-    /// (0 on the strict path, which predates the strategy telemetry).
-    path_bits: u64,
-    /// Flops actually performed, priced per path: the primal loop pays
-    /// O(d) per visit, the Gram loop O(n) per visit plus the one-off Q
-    /// build and final w reconstruction.
-    flops: u64,
-}
-
 impl SvrTrainer {
     /// Trainer with the given configuration.
     pub fn new(config: SvrConfig) -> Self {
         SvrTrainer { config }
     }
 
-    /// The strict reference sweep: every coordinate every epoch, exact
-    /// sequential kernels. Ignores warm starts by design — this path's
-    /// results depend only on (data, config), never on solve history.
-    /// The budget is polled once per epoch (the cooperative cancellation
-    /// granularity of the ISSUE's "checked every N passes").
-    fn solve_strict(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        // Q_ii = x_i·x_i (+1 for the bias augmentation).
-        let q_diag: Vec<f64> = (0..n).map(|i| x.row_sq_norm(i) + bias_sq).collect();
-
-        let mut beta = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut epochs_run = 0u64;
-
-        for epoch in 0..cfg.max_epochs {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, epoch as u64));
-            order.shuffle(&mut rng);
-            let mut max_violation = 0.0f64;
-
-            for &i in &order {
-                let h = q_diag[i];
-                // G = wᵀx_i − y_i (folded in ascending column order — any
-                // view must reproduce the owned accumulation bit for bit).
-                let g = x.row_dot_acc(i, &w, -y[i] + w_bias * bias_sq);
-                let gp = g + cfg.epsilon;
-                let gn = g - cfg.epsilon;
-
-                // Projected-gradient violation (liblinear's criterion): at a
-                // bound, only a gradient pointing back *into* the feasible
-                // interval counts — a blocked direction is KKT-optimal.
-                let b = beta[i];
-                let violation = svr_violation(b, gp, gn, cfg.c);
-                max_violation = max_violation.max(violation);
-
-                if h <= 0.0 {
-                    // Zero row: objective is linear in β_i; any movement is
-                    // unbounded or useless. Reset to 0.
-                    beta[i] = 0.0;
-                    continue;
-                }
-
-                // Newton step on the piecewise-quadratic dual coordinate.
-                let dstep = if gp < h * b {
-                    -gp / h
-                } else if gn > h * b {
-                    -gn / h
-                } else {
-                    -b
-                };
-                if dstep.abs() < 1e-14 {
-                    continue;
-                }
-                let beta_new = (b + dstep).clamp(-cfg.c, cfg.c);
-                let delta = beta_new - b;
-                if delta != 0.0 {
-                    beta[i] = beta_new;
-                    x.axpy_row(i, delta, &mut w);
-                    w_bias += delta * bias_sq;
-                }
-            }
-
-            epochs_run = (epoch + 1) as u64;
-            if max_violation < cfg.tolerance {
-                break;
-            }
-        }
-
-        let visits = epochs_run * n as u64;
-        // Every visited coordinate touches its (d+1) augmented columns twice
-        // (gradient + update), ~4 flops each.
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvrSolve { w, w_bias, beta, epochs: epochs_run, visits, path_bits: 0, flops })
-    }
-
-    /// The fast path: active-set shrinking (liblinear §4), warm-started
-    /// duals, blocked kernels. A bound-pinned coordinate whose projected
-    /// gradient clears the previous epoch's worst violation is dropped from
-    /// the sweep; once the active set converges, one full
-    /// unshrink-and-recheck pass runs with shrinking disabled before
-    /// convergence is declared.
-    fn solve_fast(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        // Gather the design into contiguous rows when it fits the packing
-        // budget: the epoch loops below then monomorphize to single-slice
-        // kernel calls with no view indirection. The Gram strategy
-        // additionally requires a packed design (Q is built from its rows),
-        // so an unpackable view always takes the primal path.
-        let cfg = &self.config;
-        match crate::solver::pack_for_solve(x, cfg.f32_compute) {
-            Some(packed) => {
-                let n = packed.n_rows();
-                let d = packed.n_cols();
-                let use_gram = match cfg.strategy {
-                    SolverStrategy::Primal => false,
-                    SolverStrategy::Gram => n > 0,
-                    SolverStrategy::Auto => crate::solver::gram_policy().should_use_gram(n, d),
-                };
-                if use_gram {
-                    let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-                    let (gram, built) = crate::solver::gram_for_solve(&packed, bias_sq, budget)?;
-                    self.solve_fast_gram(&packed, &gram, built, y, warm, budget)
-                } else {
-                    self.solve_fast_rows(packed.as_ref(), y, warm, budget)
-                }
-            }
-            None => self.solve_fast_rows(x, y, warm, budget),
-        }
-    }
-
-    /// The Gram-strategy fast loop: identical sweep order, shrinking, and
-    /// stopping logic to [`SvrTrainer::solve_fast_rows`], but the gradient
-    /// comes from a maintained dual image `qb[i] = Σ_j Q_ij β_j` (an O(1)
-    /// read + O(n) row-of-Q update per step) instead of an O(d) primal dot;
-    /// `w` is reconstructed once at convergence. Always full f64 — the Q
-    /// build and row updates dominate, and mixing precision here would buy
-    /// nothing.
-    fn solve_fast_gram(
-        &self,
-        x: &frac_dataset::PackedDesign,
-        q: &GramMatrix,
-        built: bool,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-
-        let mut beta = vec![0.0f64; n];
-        // qb[i] tracks w·x_i + w_bias·bias exactly (Q folds the bias into
-        // every entry), so g = qb[i] − y_i mirrors the primal gradient.
-        let mut qb = vec![0.0f64; n];
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                let b = wv.clamp(-cfg.c, cfg.c);
-                if b != 0.0 {
-                    beta[i] = b;
-                    frac_dataset::kernels::axpy_blocked(b, q.row(i), &mut qb);
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let h = q.diag(i);
-                let g = qb[i] - y[i];
-                visits += 1;
-                let gp = g + cfg.epsilon;
-                let gn = g - cfg.epsilon;
-                let b = beta[i];
-
-                let shrink = if b == 0.0 {
-                    gp > shrink_thr && gn < -shrink_thr
-                } else if b >= cfg.c {
-                    gp < -shrink_thr
-                } else if b <= -cfg.c {
-                    gn > shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                max_violation = max_violation.max(svr_violation(b, gp, gn, cfg.c));
-
-                if h <= 0.0 {
-                    beta[i] = 0.0;
-                    idx += 1;
-                    continue;
-                }
-
-                let dstep = if gp < h * b {
-                    -gp / h
-                } else if gn > h * b {
-                    -gn / h
-                } else {
-                    -b
-                };
-                if dstep.abs() >= 1e-14 {
-                    let beta_new = (b + dstep).clamp(-cfg.c, cfg.c);
-                    let delta = beta_new - b;
-                    if delta != 0.0 {
-                        beta[i] = beta_new;
-                        frac_dataset::kernels::axpy_blocked(delta, q.row(i), &mut qb);
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        // Reconstruct the primal once: w = Xᵀβ over the support vectors.
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        let mut nnz = 0u64;
-        for (i, &b) in beta.iter().enumerate() {
-            if b != 0.0 {
-                x.axpy_row_blocked(i, b, &mut w);
-                w_bias += b * bias_sq;
-                nnz += 1;
-            }
-        }
-
-        stats::record_gram_solve();
-        // Per visit: O(1) gradient + O(n+1) row-of-Q axpy (~4 flops/entry);
-        // plus the final O(nnz·d) reconstruction, and the Q build when this
-        // solve actually paid for it (a cache hit doesn't).
-        let mut flops = visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
-        if built {
-            flops += GramMatrix::build_flops(n, d);
-        }
-        Ok(SvrSolve {
-            w,
-            w_bias,
-            beta,
-            epochs,
-            visits,
-            path_bits: crate::solver::STRATEGY_GRAM_CODE,
-            flops,
-        })
-    }
-
-    fn solve_fast_rows<X: SolverRows + ?Sized>(
-        &self,
-        x: &X,
-        y: &[f64],
-        warm: Option<&[f64]>,
-        budget: &TargetBudget,
-    ) -> Result<SvrSolve, TrainError> {
-        let cfg = &self.config;
-        let n = x.n_rows();
-        let d = x.n_cols();
-        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
-        let q_diag: Vec<f64> = (0..n).map(|i| x.sq_norm(i) + bias_sq).collect();
-
-        let mut beta = vec![0.0f64; n];
-        let mut w = vec![0.0f64; d];
-        let mut w_bias = 0.0f64;
-        if let Some(warm) = warm {
-            debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
-            for (i, &wv) in warm.iter().enumerate() {
-                // Clamp into the feasible box: any feasible point is a valid
-                // start, so a caller may pass duals fit under a different C.
-                let b = wv.clamp(-cfg.c, cfg.c);
-                if b != 0.0 {
-                    beta[i] = b;
-                    x.axpy(i, b, &mut w);
-                    w_bias += b * bias_sq;
-                }
-            }
-        }
-
-        let mut active: Vec<usize> = (0..n).collect();
-        let mut shrink_thr = f64::INFINITY;
-        let mut epochs = 0u64;
-        let mut visits = 0u64;
-        // f32 mode runs only over a packed f32 mirror (unit-stride loads);
-        // without one the demote-per-visit kernel measures slower than f64,
-        // so fall back to the exact dot and record which happened.
-        let f32_dot = cfg.f32_compute && x.has_f32();
-
-        while epochs < cfg.max_epochs as u64 {
-            budget.check()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, epochs));
-            crate::solver::shuffle_fast(&mut active, &mut rng);
-            let mut max_violation = 0.0f64;
-
-            let mut idx = 0usize;
-            while idx < active.len() {
-                let i = active[idx];
-                let h = q_diag[i];
-                let init = -y[i] + w_bias * bias_sq;
-                let g = if f32_dot {
-                    x.dot_f32(i, &w, init)
-                } else {
-                    x.dot(i, &w, init)
-                };
-                visits += 1;
-                let gp = g + cfg.epsilon;
-                let gn = g - cfg.epsilon;
-                let b = beta[i];
-
-                // Shrink: pinned at a bound with the blocked direction's
-                // gradient beyond the previous epoch's worst violation —
-                // KKT-optimal with margin, so skip it until the recheck.
-                let shrink = if b == 0.0 {
-                    gp > shrink_thr && gn < -shrink_thr
-                } else if b >= cfg.c {
-                    gp < -shrink_thr
-                } else if b <= -cfg.c {
-                    gn > shrink_thr
-                } else {
-                    false
-                };
-                if shrink {
-                    active.swap_remove(idx);
-                    continue;
-                }
-
-                max_violation = max_violation.max(svr_violation(b, gp, gn, cfg.c));
-
-                if h <= 0.0 {
-                    beta[i] = 0.0;
-                    idx += 1;
-                    continue;
-                }
-
-                let dstep = if gp < h * b {
-                    -gp / h
-                } else if gn > h * b {
-                    -gn / h
-                } else {
-                    -b
-                };
-                if dstep.abs() >= 1e-14 {
-                    let beta_new = (b + dstep).clamp(-cfg.c, cfg.c);
-                    let delta = beta_new - b;
-                    if delta != 0.0 {
-                        beta[i] = beta_new;
-                        x.axpy(i, delta, &mut w);
-                        w_bias += delta * bias_sq;
-                    }
-                }
-                idx += 1;
-            }
-
-            epochs += 1;
-            if max_violation < cfg.tolerance {
-                if active.len() == n {
-                    break;
-                }
-                // Unshrink and recheck: restore every coordinate and run one
-                // full pass with shrinking disabled (infinite threshold).
-                active = (0..n).collect();
-                shrink_thr = f64::INFINITY;
-            } else {
-                shrink_thr = max_violation;
-            }
-        }
-
-        let path_bits = crate::solver::STRATEGY_PRIMAL_CODE
-            | if f32_dot {
-                crate::solver::STRATEGY_F32_PACKED_CODE
-            } else if cfg.f32_compute {
-                crate::solver::STRATEGY_F32_FALLBACK_CODE
-            } else {
-                0
-            };
-        let flops = visits * ((d as u64) + 1) * 4;
-        Ok(SvrSolve { w, w_bias, beta, epochs, visits, path_bits, flops })
-    }
-
-    /// Dispatch on the configured [`SolverMode`], record solver stats, and
-    /// price the work actually done. Returns [`TrainError::DeadlineExceeded`]
-    /// only when `budget` trips; with an unlimited budget it never fails.
-    fn solve_impl(
+    /// One ε-insensitive dual solve through [`crate::solver`], priced by
+    /// the work actually done. Fails only when `budget` trips.
+    fn solve(
         &self,
         x: &dyn DesignView,
         y: &[f64],
         warm: Option<&[f64]>,
         budget: &TargetBudget,
     ) -> Result<(Trained<LinearSvr>, Vec<f64>), TrainError> {
-        assert_eq!(x.n_rows(), y.len(), "target length must match rows");
         let cfg = &self.config;
         let n = x.n_rows();
         let d = x.n_cols();
@@ -590,38 +165,37 @@ impl SvrTrainer {
         }
 
         let span = telemetry::span(telemetry::Stage::Solve);
-        let out = match cfg.mode {
-            SolverMode::Strict => self.solve_strict(x, y, budget)?,
-            SolverMode::Fast => self.solve_fast(x, y, warm, budget)?,
+        let bias_sq = if cfg.bias { 1.0 } else { 0.0 };
+        let (rows, build_flops) = Rows::prepare(x, cfg.mode, cfg.strategy, bias_sq, budget)?;
+        let loss = EpsInsensitive { y, c: cfg.c, epsilon: cfg.epsilon };
+        let params = DualParams {
+            max_epochs: cfg.max_epochs,
+            tolerance: cfg.tolerance,
+            seed: cfg.seed,
+            bias_sq,
         };
+        let out = solver::solve(&loss, x, &rows, warm, &params, budget)?;
         drop(span);
-        stats::record(out.epochs, out.visits, out.epochs * n as u64);
-        telemetry::counter_add(telemetry::Counter::SolverEpochs, out.epochs);
-        telemetry::counter_add(telemetry::Counter::SolverVisits, out.visits);
-        if out.path_bits != 0 {
-            telemetry::counter_add(telemetry::Counter::SolverStrategy, out.path_bits);
-        }
 
-        // Flops are priced per path inside each solve (the Gram loop's visit
-        // is O(n), the primal loop's O(d), and a Q build is charged only by
-        // the solve that paid for it). Warm-start initialization is priced
-        // by the CV driver once per dual vector, not here — a cached dual
-        // vector may seed many solves (folds, ensemble members), and
-        // charging per solve would double-count the same fold-in work.
-        // Under shrinking, `visits` counts only coordinates actually swept,
-        // so the savings show up in ResourceReport instead of being charged
-        // as dense work.
+        // Flops are priced per path inside the solve (the Gram loop's visit
+        // is O(n), the primal loop's O(d)), plus a Q build only when this
+        // call paid for it. Warm-start initialization is priced by the CV
+        // driver once per dual vector, not here — a cached dual vector may
+        // seed many solves (folds, ensemble members), and charging per
+        // solve would double-count the same fold-in work. Under shrinking,
+        // `visits` counts only coordinates actually swept, so the savings
+        // show up in ResourceReport instead of being charged as dense work.
         let active_set_bytes = match cfg.mode {
             SolverMode::Fast => n * std::mem::size_of::<usize>(),
             SolverMode::Strict => 0,
         };
-        let gram_bytes = if out.path_bits & crate::solver::STRATEGY_GRAM_CODE != 0 {
+        let gram_bytes = if out.path_bits & solver::STRATEGY_GRAM_CODE != 0 {
             (n * n + n) * std::mem::size_of::<f64>()
         } else {
             0
         };
         let cost = TrainingCost {
-            flops: out.flops,
+            flops: out.flops + build_flops,
             peak_bytes: ((n + d + n) * std::mem::size_of::<f64>() + active_set_bytes + gram_bytes)
                 as u64,
         };
@@ -633,87 +207,18 @@ impl SvrTrainer {
                 },
                 cost,
             },
-            out.beta,
+            out.alpha,
         ))
-    }
-
-    /// Infallible solve: identical arithmetic under an unlimited budget,
-    /// which can never trip.
-    fn solve(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> (Trained<LinearSvr>, Vec<f64>) {
-        match self.solve_impl(x, y, warm, &TargetBudget::unlimited()) {
-            Ok(out) => out,
-            Err(_) => unreachable!("unlimited budget cannot trip"),
-        }
-    }
-}
-
-/// Projected-gradient violation of one dual coordinate (liblinear's
-/// stopping criterion), shared by both solver paths.
-#[inline]
-fn svr_violation(b: f64, gp: f64, gn: f64, c: f64) -> f64 {
-    if b == 0.0 {
-        if gp < 0.0 {
-            -gp
-        } else if gn > 0.0 {
-            gn
-        } else {
-            0.0
-        }
-    } else if b >= c {
-        gp.max(0.0)
-    } else if b <= -c {
-        (-gn).max(0.0)
-    } else if b > 0.0 {
-        gp.abs()
-    } else {
-        gn.abs()
     }
 }
 
 impl RegressorTrainer for SvrTrainer {
     type Model = LinearSvr;
 
-    fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<LinearSvr> {
-        self.solve(x, y, None).0
-    }
-
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> (Trained<LinearSvr>, Option<Vec<f64>>) {
-        let (trained, beta) = self.solve(x, y, warm);
-        (trained, Some(beta))
-    }
-
-    /// Same solve as the infallible path (bit-identical on success), but
-    /// validates the problem up front and rejects diverged solves — NaN/Inf
-    /// weights after the epoch budget — as [`TrainError::NonConvergence`].
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> Result<(Trained<LinearSvr>, Option<Vec<f64>>), TrainError> {
-        fault::check_regression_problem(x, y)?;
-        let (trained, beta) = self.solve(x, y, warm);
-        if !fault::all_finite(trained.model.weights()) || !trained.model.bias().is_finite() {
-            return Err(TrainError::NonConvergence {
-                epochs: self.config.max_epochs as u64,
-            });
-        }
-        Ok((trained, Some(beta)))
-    }
-
-    /// Budget-polling solve: same arithmetic as the other paths, with the
-    /// budget checked once per coordinate-descent epoch.
-    fn try_train_view_budgeted(
+    /// Validates the problem up front, polls the budget once per epoch, and
+    /// rejects diverged solves — NaN/Inf weights after the epoch budget —
+    /// as [`TrainError::NonConvergence`].
+    fn try_train(
         &self,
         x: &dyn DesignView,
         y: &[f64],
@@ -721,7 +226,7 @@ impl RegressorTrainer for SvrTrainer {
         budget: &TargetBudget,
     ) -> Result<(Trained<LinearSvr>, Option<Vec<f64>>), TrainError> {
         fault::check_regression_problem(x, y)?;
-        let (trained, beta) = self.solve_impl(x, y, warm, budget)?;
+        let (trained, beta) = self.solve(x, y, warm, budget)?;
         if !fault::all_finite(trained.model.weights()) || !trained.model.bias().is_finite() {
             return Err(TrainError::NonConvergence {
                 epochs: self.config.max_epochs as u64,
@@ -852,23 +357,20 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_path_matches_warm_path_and_trips_when_expired() {
+    fn try_train_matches_train_and_trips_when_expired() {
         use crate::budget::RunBudget;
-        use crate::traits::RegressorTrainer;
         let x = matrix(&[&[0.1, 0.2], &[0.5, -0.3], &[-0.7, 0.9], &[0.2, 0.2]]);
         let y = vec![1.0, -0.5, 0.3, 0.9];
         let t = SvrTrainer::default();
-        let (a, da) = t
-            .try_train_view_budgeted(&x, &y, None, &TargetBudget::unlimited())
-            .unwrap();
-        let (b, db) = t.try_train_view_warm(&x, &y, None).unwrap();
+        let (a, da) = t.try_train(&x, &y, None, &TargetBudget::unlimited()).unwrap();
+        let b = t.train(&x, &y);
         assert_eq!(a.model.weights(), b.model.weights());
         assert_eq!(a.model.bias(), b.model.bias());
-        assert_eq!(da, db);
+        assert_eq!(da.map(|d| d.len()), Some(4));
 
         let expired = RunBudget::with_deadline(std::time::Duration::from_secs(0)).start_target();
         assert_eq!(
-            t.try_train_view_budgeted(&x, &y, None, &expired).unwrap_err(),
+            t.try_train(&x, &y, None, &expired).unwrap_err(),
             TrainError::DeadlineExceeded
         );
     }

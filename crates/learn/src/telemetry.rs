@@ -154,7 +154,7 @@ pub enum Counter {
     KernelTier,
     /// Bitmask of fast-solver execution strategies the session's solves
     /// used ([`crate::solver::describe_strategy_mask`] names the bits:
-    /// primal, gram, and the f32 packed/fallback flags). A label counter
+    /// primal and gram). A label counter
     /// like [`Counter::KernelTier`]: merges by bitwise OR.
     SolverStrategy,
     /// Records admitted by the scoring daemon (parsed and queued; the

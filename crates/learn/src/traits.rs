@@ -7,7 +7,7 @@
 //! and memory columns.
 
 use crate::budget::TargetBudget;
-use crate::fault::{self, TrainError};
+use crate::fault::TrainError;
 use frac_dataset::{DesignMatrix, DesignView};
 
 /// Analytic cost of one model-training call.
@@ -76,82 +76,53 @@ pub trait Classifier: Send + Sync {
 
 /// Trains regressors from `(design view, real targets)` pairs.
 ///
-/// `train_view` is the primary entry point: it accepts any [`DesignView`],
-/// so the caller can hand over a zero-copy slice of a shared
-/// [`frac_dataset::EncodedPool`] (or a [`frac_dataset::RowSubset`] of one)
-/// instead of materializing an owned matrix per target/fold.
+/// [`Self::try_train`] is the one entry point: it accepts any
+/// [`DesignView`], so the caller can hand over a zero-copy slice of a
+/// shared [`frac_dataset::EncodedPool`] (or a [`frac_dataset::RowSubset`]
+/// of one) instead of materializing an owned matrix per target/fold.
 pub trait RegressorTrainer: Send + Sync {
     /// The model type produced.
     type Model: Regressor;
 
-    /// Fit a model from any design view. `y.len()` must equal `x.n_rows()`;
-    /// `y` contains no NaNs (the caller drops rows with missing targets).
-    fn train_view(&self, x: &dyn DesignView, y: &[f64]) -> Trained<Self::Model>;
-
-    /// Fit with an optional warm-start dual vector, returning the final
-    /// duals alongside the model.
+    /// Fit a model from any design view, optionally warm-started, under a
+    /// cooperative budget. Returns the model and, for trainers with a dual
+    /// formulation, the final duals.
     ///
-    /// Contract: `warm`, when given, has `x.n_rows()` entries — one dual per
-    /// **row of this view, in view order** — and may come from *any* prior
-    /// solve (other fold, other replicate, other hyperparameters); the
-    /// trainer clamps it into its own feasible box, so any real vector is a
-    /// legal start and can only change where the solver starts, never what
-    /// fixed point it converges to. The returned duals follow the same
-    /// row-order convention. Trainers without a dual formulation keep this
-    /// default: ignore the warm start, return `None`, and callers degrade
+    /// Validates the problem (shape, allocation size, finite targets) and
+    /// the fitted model instead of panicking or returning a poisoned fit;
+    /// the budget is polled inside the trainer's inner loop, and a tripped
+    /// budget surfaces as [`TrainError::DeadlineExceeded`]. With an
+    /// unlimited budget nothing is ever polled out, so the result depends
+    /// only on the problem, the config and `warm`.
+    ///
+    /// Warm-start contract: `warm`, when given, has `x.n_rows()` entries —
+    /// one dual per **row of this view, in view order** — and may come
+    /// from *any* prior solve (other fold, other replicate, other
+    /// hyperparameters); the trainer clamps it into its own feasible box,
+    /// so any real vector is a legal start and can only change where the
+    /// solver starts, never what fixed point it converges to. The returned
+    /// duals follow the same row-order convention. Trainers without a dual
+    /// formulation ignore `warm` and return `None`, and callers degrade
     /// gracefully to cold starts.
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> (Trained<Self::Model>, Option<Vec<f64>>) {
-        let _ = warm;
-        (self.train_view(x, y), None)
-    }
-
-    /// Fallible variant of [`Self::train_view_warm`]: validates the problem
-    /// (shape, allocation size, finite targets) and the fitted model instead
-    /// of panicking or returning a poisoned fit.
-    ///
-    /// The default performs the shared input validation and then delegates
-    /// to the infallible path — exactly the same arithmetic, so a clean
-    /// problem produces a bit-identical model. Trainers with a failure mode
-    /// of their own (the SVM solvers can diverge) override this to also
-    /// inspect their output.
     #[allow(clippy::type_complexity)]
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[f64],
-        warm: Option<&[f64]>,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError> {
-        fault::check_regression_problem(x, y)?;
-        Ok(self.train_view_warm(x, y, warm))
-    }
-
-    /// Budget-aware variant of [`Self::try_train_view_warm`]: the trainer
-    /// checks `budget` cooperatively inside its inner loop and returns
-    /// [`TrainError::DeadlineExceeded`] once it trips. The default checks
-    /// the budget once up front and delegates — correct for trainers whose
-    /// fits are short; long-running solvers override to poll every few
-    /// epochs. With an unlimited budget the result is bit-identical to
-    /// [`Self::try_train_view_warm`].
-    #[allow(clippy::type_complexity)]
-    fn try_train_view_budgeted(
+    fn try_train(
         &self,
         x: &dyn DesignView,
         y: &[f64],
         warm: Option<&[f64]>,
         budget: &TargetBudget,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError> {
-        budget.check()?;
-        self.try_train_view_warm(x, y, warm)
-    }
+    ) -> Result<(Trained<Self::Model>, Option<Vec<f64>>), TrainError>;
 
-    /// Fit from an owned matrix (convenience wrapper over [`Self::train_view`]).
+    /// Cold-start fit of an owned matrix under an unlimited budget — a
+    /// convenience over [`Self::try_train`] for tests and benches.
+    ///
+    /// # Panics
+    /// Panics if the fit fails (invalid input or a diverged solve).
     fn train(&self, x: &DesignMatrix, y: &[f64]) -> Trained<Self::Model> {
-        self.train_view(x, y)
+        match self.try_train(x, y, None, &TargetBudget::unlimited()) {
+            Ok((trained, _)) => trained,
+            Err(e) => panic!("regressor training failed: {e}"),
+        }
     }
 }
 
@@ -160,62 +131,31 @@ pub trait ClassifierTrainer: Send + Sync {
     /// The model type produced.
     type Model: Classifier;
 
-    /// Fit a model from any design view. `y.len()` must equal `x.n_rows()`;
-    /// all codes are `< arity` (the caller drops rows with missing targets).
-    fn train_view(&self, x: &dyn DesignView, y: &[u32], arity: u32) -> Trained<Self::Model>;
-
-    /// Fit with optional warm-start duals, returning the final duals.
-    ///
-    /// Same contract as [`RegressorTrainer::train_view_warm`], except the
-    /// duals are **per one-vs-rest class**: `warm[k][i]` seeds class `k`'s
-    /// dual for row `i` (in view order). A `warm` slice shorter than the
-    /// number of classes cold-starts the missing classes. The default
-    /// ignores warm starts and returns `None`.
-    fn train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> (Trained<Self::Model>, Option<Vec<Vec<f64>>>) {
-        let _ = warm;
-        (self.train_view(x, y, arity), None)
-    }
-
-    /// Fallible variant of [`Self::train_view_warm`]; see
-    /// [`RegressorTrainer::try_train_view_warm`] for the contract. The
-    /// default validates shape/allocation and delegates to the infallible
-    /// path bit-for-bit.
+    /// Fit a model from any design view; all codes are `< arity`. Same
+    /// contract as [`RegressorTrainer::try_train`], except the duals are
+    /// **per one-vs-rest class**: `warm[k][i]` seeds class `k`'s dual for
+    /// row `i` (in view order), and a `warm` slice shorter than the number
+    /// of classes cold-starts the missing classes.
     #[allow(clippy::type_complexity)]
-    fn try_train_view_warm(
-        &self,
-        x: &dyn DesignView,
-        y: &[u32],
-        arity: u32,
-        warm: Option<&[Vec<f64>]>,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError> {
-        fault::check_classification_problem(x, y)?;
-        Ok(self.train_view_warm(x, y, arity, warm))
-    }
-
-    /// Budget-aware variant of [`Self::try_train_view_warm`]; see
-    /// [`RegressorTrainer::try_train_view_budgeted`] for the contract.
-    #[allow(clippy::type_complexity)]
-    fn try_train_view_budgeted(
+    fn try_train(
         &self,
         x: &dyn DesignView,
         y: &[u32],
         arity: u32,
         warm: Option<&[Vec<f64>]>,
         budget: &TargetBudget,
-    ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError> {
-        budget.check()?;
-        self.try_train_view_warm(x, y, arity, warm)
-    }
+    ) -> Result<(Trained<Self::Model>, Option<Vec<Vec<f64>>>), TrainError>;
 
-    /// Fit from an owned matrix (convenience wrapper over [`Self::train_view`]).
+    /// Cold-start fit of an owned matrix under an unlimited budget; see
+    /// [`RegressorTrainer::train`].
+    ///
+    /// # Panics
+    /// Panics if the fit fails (invalid input or a diverged solve).
     fn train(&self, x: &DesignMatrix, y: &[u32], arity: u32) -> Trained<Self::Model> {
-        self.train_view(x, y, arity)
+        match self.try_train(x, y, arity, None, &TargetBudget::unlimited()) {
+            Ok((trained, _)) => trained,
+            Err(e) => panic!("classifier training failed: {e}"),
+        }
     }
 }
 

@@ -15,11 +15,15 @@ use frac_dataset::DesignMatrix;
 use frac_learn::svc::{SvcConfig, SvcTrainer};
 use frac_learn::svr::{SvrConfig, SvrTrainer};
 use frac_learn::traits::{ClassifierTrainer, RegressorTrainer};
-use frac_learn::{SolverMode, SolverStrategy};
+use frac_learn::{SolverMode, SolverStrategy, TargetBudget};
 use proptest::prelude::*;
 
 const MAX_N: usize = 12;
 const MAX_D: usize = 5;
+
+fn unlimited() -> TargetBudget {
+    TargetBudget::unlimited()
+}
 
 /// Tight tolerance: the solver runs long enough for active-set shrinking
 /// to engage and (on some draws) trigger unshrink-and-recheck passes.
@@ -92,7 +96,7 @@ fn svr_objective_for(
     warm: Option<&[f64]>,
 ) -> f64 {
     let cfg = svr_cfg(strategy, tolerance);
-    let (_, duals) = SvrTrainer::new(cfg).train_view_warm(x, y, warm);
+    let (_, duals) = SvrTrainer::new(cfg).try_train(x, y, warm, &unlimited()).unwrap();
     svr_objective(x, y, &duals.expect("SVR always returns duals"), cfg.epsilon)
 }
 
@@ -104,8 +108,9 @@ fn svc_objectives_for(
     tolerance: f64,
     warm: Option<&[Vec<f64>]>,
 ) -> Vec<f64> {
-    let (_, duals) =
-        SvcTrainer::new(svc_cfg(strategy, tolerance)).train_view_warm(x, y, arity, warm);
+    let (_, duals) = SvcTrainer::new(svc_cfg(strategy, tolerance))
+        .try_train(x, y, arity, warm, &unlimited())
+        .unwrap();
     let duals = duals.expect("SVC always returns duals");
     (0..arity as usize)
         .map(|class| {
@@ -217,7 +222,8 @@ proptest! {
             mode: SolverMode::Strict,
             ..SvrConfig::default()
         };
-        let (_, duals) = SvrTrainer::new(strict_cfg).train_view_warm(&x, &y[..n], None);
+        let (_, duals) =
+            SvrTrainer::new(strict_cfg).try_train(&x, &y[..n], None, &unlimited()).unwrap();
         let strict =
             svr_objective(&x, &y[..n], &duals.expect("duals"), strict_cfg.epsilon);
         let gram = svr_objective_for(&x, &y[..n], SolverStrategy::Gram, TIGHT, None);

@@ -15,6 +15,7 @@ use frac_dataset::{DesignMatrix, DesignView, PoolSpec, RowSubset};
 use frac_learn::traits::ClassifierTrainer;
 use frac_learn::tree::testing::{classification_split, regression_split, SplitChoice};
 use frac_learn::tree::{ClassificationTreeTrainer, TreeConfig};
+use frac_learn::TargetBudget;
 
 const ARITY: u32 = 3;
 const MIN_GAIN: f64 = 1e-12;
@@ -432,7 +433,9 @@ fn check_view(x: &dyn DesignView, two_valued: bool, rng: &mut Rng, what: &str) {
             min_samples_leaf: min_leaf,
             ..TreeConfig::default()
         };
-        let tree = ClassificationTreeTrainer::new(cfg).train_view(x, &y, ARITY);
+        let (tree, _) = ClassificationTreeTrainer::new(cfg)
+            .try_train(x, &y, ARITY, None, &TargetBudget::unlimited())
+            .unwrap();
         let mut w = TextWriter::new();
         tree.model.write_to(&mut w);
         assert_eq!(

@@ -35,6 +35,9 @@ cargo test -q -p frac-core --test crash_resume
 # must not lose or double-count a target, and the merged model must be
 # bitwise identical to a single-process run (DESIGN.md §14).
 cargo test -q -p frac-core --test shard_supervision
+# Release too: fast fits queue several journal records per write, and an
+# injected kill must still land on its exact record boundary.
+cargo test -q --release -p frac-core --test shard_supervision
 # Telemetry guarantee: well-nested span trees under injected faults, and
 # traced runs bit-identical to untraced ones.
 cargo test -q -p frac-core --test telemetry
@@ -43,6 +46,12 @@ cargo test -q -p frac-core --test telemetry
 # first-class execution path, not just a fallback (DESIGN.md §12).
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-dataset --test kernel_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test solver_equivalence
+# Strict-mode guarantee: the shared dual coordinate-descent loop under its
+# strict parameter set reproduces the original strict SVR/SVC solvers bit
+# for bit on every view type (DESIGN.md §6). Strict never touches the
+# dispatched kernels, so the result must not depend on the tier either.
+cargo test -q -p frac-learn --test dual_cd_reference
+FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test dual_cd_reference
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-core --test pool_equivalence
 # Gram-strategy guarantee: the Gram dual loop must match the primal fast
 # path (objective ≤ 1e-8 relative) under the default tier and with
