@@ -1,6 +1,5 @@
-//! Performance snapshot: full-FRaC fit + score on a mid-size surrogate,
-//! comparing the shared-pool path against the legacy per-target encode
-//! path (`BENCH_fit.json`), and the fast solver path (shrinking + warm
+//! Performance snapshot: full-FRaC fit + score on a mid-size surrogate
+//! (`BENCH_fit.json`), and the fast solver path (shrinking + warm
 //! starts + blocked kernels) against the strict reference solver on
 //! solver-bound SVM configurations (`BENCH_solver.json`), so the perf
 //! trajectory is tracked across PRs. Further families measure journal
@@ -34,7 +33,10 @@
 //! `FRAC_PERF_OOCORE_CHUNK` (defaults 150000 / 24 / 4096; oocore only).
 
 use frac_core::config::{CatModel, RealModel};
-use frac_core::{FracConfig, FracModel, ResourceReport, SolverMode, SolverStrategy, TrainingPlan};
+use frac_core::{
+    FitOptions, FracConfig, FracModel, ResourceReport, RunJournal, SolverMode, SolverStrategy,
+    TrainingPlan,
+};
 use frac_dataset::kernels::{self, KernelTier};
 use frac_dataset::{Dataset, DesignMatrix};
 use frac_learn::solver::stats::{self, SolverStats};
@@ -68,33 +70,18 @@ fn best_of<F: Fn() -> Snapshot>(reps: usize, run: F) -> Snapshot {
     best.expect("at least one rep")
 }
 
-fn timed(
-    train: &Dataset,
-    test: &Dataset,
-    plan: &TrainingPlan,
-    config: &FracConfig,
-    pooled: bool,
-) -> Snapshot {
+fn timed(train: &Dataset, test: &Dataset, plan: &TrainingPlan, config: &FracConfig) -> Snapshot {
     let t0 = Instant::now();
-    let (model, report) = if pooled {
-        FracModel::fit(train, plan, config)
-    } else {
-        FracModel::fit_unpooled(train, plan, config)
-    };
+    let (model, report) = FracModel::fit(train, plan, config);
     let fit_s = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
-    let ns = if pooled {
-        model.score(test)
-    } else {
-        model.contributions_unpooled(test).ns_scores()
-    };
+    let ns = model.score(test);
     let score_s = t1.elapsed().as_secs_f64();
     assert!(ns.iter().all(|s| s.is_finite()));
     Snapshot { fit_s, score_s, report }
 }
 
-/// Time one family (surrogate + config) through both paths and render its
-/// JSON object.
+/// Time one family (surrogate + config) and render its JSON object.
 fn family_json(
     name: &str,
     train: &Dataset,
@@ -103,23 +90,10 @@ fn family_json(
     reps: usize,
 ) -> String {
     let plan = TrainingPlan::full(train.n_features());
-    let pooled = best_of(reps, || timed(train, test, &plan, config, true));
-    let legacy = best_of(reps, || timed(train, test, &plan, config, false));
-    let fit_speedup = legacy.fit_s / pooled.fit_s;
-    let score_speedup = legacy.score_s / pooled.score_s;
-    // Design-matrix bytes allocated during fit: the legacy path encodes one
-    // matrix per target (O(f² · n) cells over the run); the pool is O(f · n).
-    let f = train.n_features() as u64;
-    let width = train.schema().one_hot_width() as u64;
-    let cell = std::mem::size_of::<f64>() as u64;
-    let encode_bytes_legacy = f * train.n_rows() as u64 * (width - width / f) * cell;
-    let encode_bytes_pooled = pooled.report.pool_bytes;
+    let pooled = best_of(reps, || timed(train, test, &plan, config));
     eprintln!(
-        "{name}: fit pooled {:.3}s vs legacy {:.3}s ({fit_speedup:.2}x); \
-         score pooled {:.4}s vs legacy {:.4}s ({score_speedup:.2}x); \
-         encode alloc {} -> {} bytes",
-        pooled.fit_s, legacy.fit_s, pooled.score_s, legacy.score_s,
-        encode_bytes_legacy, encode_bytes_pooled
+        "{name}: fit {:.3}s; score {:.4}s; pool {} bytes",
+        pooled.fit_s, pooled.score_s, pooled.report.pool_bytes
     );
     eprintln!("{name}: health {}", pooled.report.health.summary());
     format!(
@@ -127,12 +101,7 @@ fn family_json(
          \"surrogate\": {{\"n_features\": {}, \"train_rows\": {}, \"test_rows\": {}}},\n    \
          \"pooled\": {{\"fit_wall_s\": {:.6}, \"score_wall_s\": {:.6}, \"flops\": {}, \
          \"peak_bytes\": {}, \"pool_bytes\": {}, \"transient_bytes\": {}}},\n    \
-         \"legacy\": {{\"fit_wall_s\": {:.6}, \"score_wall_s\": {:.6}, \"flops\": {}, \
-         \"peak_bytes\": {}, \"pool_bytes\": {}, \"transient_bytes\": {}}},\n    \
-         \"encode_bytes_legacy\": {encode_bytes_legacy},\n    \
-         \"encode_bytes_pooled\": {encode_bytes_pooled},\n    \
-         \"health\": \"{}\",\n    \
-         \"fit_speedup\": {:.3},\n    \"score_speedup\": {:.3}\n  }}",
+         \"health\": \"{}\"\n  }}",
         train.n_features(),
         train.n_rows(),
         test.n_rows(),
@@ -142,15 +111,7 @@ fn family_json(
         pooled.report.peak_bytes(),
         pooled.report.pool_bytes,
         pooled.report.transient_bytes,
-        legacy.fit_s,
-        legacy.score_s,
-        legacy.report.flops,
-        legacy.report.peak_bytes(),
-        legacy.report.pool_bytes,
-        legacy.report.transient_bytes,
         pooled.report.health.summary(),
-        fit_speedup,
-        score_speedup,
     )
 }
 
@@ -269,28 +230,24 @@ fn journal_family_json(
     reps: usize,
 ) -> String {
     let plan = TrainingPlan::full(train.n_features());
-    let plain = best_of(reps, || timed(train, test, &plan, config, true));
+    let plain = best_of(reps, || timed(train, test, &plan, config));
     let journal_path =
         std::env::temp_dir().join(format!("frac-perf-journal-{name}.frj"));
     let journaled = best_of(reps, || {
         let _ = std::fs::remove_file(&journal_path);
         let t0 = Instant::now();
-        let fit = FracModel::fit_journaled(
-            train,
-            &plan,
-            config,
-            &frac_core::RunBudget::unlimited(),
-            &journal_path,
-        )
-        .expect("journaled fit");
-        assert_eq!(fit.resumed, 0, "bench must measure a fresh run");
-        assert!(!fit.journal_broken);
+        let (journal, preloaded) =
+            RunJournal::open_for_run(&journal_path, train, &plan, config).expect("journal");
+        assert!(preloaded.is_empty(), "bench must measure a fresh run");
+        let options = FitOptions { journal: Some(&journal), ..FitOptions::default() };
+        let (model, report) = FracModel::fit_with(train, &plan, config, options);
+        assert!(!journal.is_broken());
         let fit_s = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let ns = fit.model.score(test);
+        let ns = model.score(test);
         let score_s = t1.elapsed().as_secs_f64();
         assert!(ns.iter().all(|s| s.is_finite()));
-        Snapshot { fit_s, score_s, report: fit.report }
+        Snapshot { fit_s, score_s, report }
     });
     let journal_bytes = std::fs::metadata(&journal_path).map(|m| m.len()).unwrap_or(0);
     let _ = std::fs::remove_file(&journal_path);
@@ -367,7 +324,7 @@ fn shard_family_json(
                     let base = &base;
                     let plan = &plan;
                     s.spawn(move || {
-                        let fit = frac_core::shard::worker_run(
+                        let (_, restored) = frac_core::shard::worker_run(
                             train,
                             plan,
                             config,
@@ -377,7 +334,7 @@ fn shard_family_json(
                             n_shards,
                         )
                         .expect("shard worker");
-                        assert_eq!(fit.resumed, 0, "bench must measure a fresh run");
+                        assert_eq!(restored, 0, "bench must measure a fresh run");
                     });
                 }
             });
@@ -1140,10 +1097,9 @@ fn main() {
             family_json("expression", &expr_train, &expr_test, &FracConfig::expression(), reps);
         let snp_json = family_json("snp", &snp_train, &snp_test, &FracConfig::snp(), reps);
         // Encode-bound family: constant predictors make training trivial, so
-        // the fit wall is dominated by design-matrix construction — the
-        // component the pool replaces. This isolates the O(f² · n) → O(f · n)
-        // change from solver time, which dominates the two paper families at
-        // this scale.
+        // the fit wall is dominated by the pool encode and per-target
+        // bookkeeping rather than by solver time, which dominates the two
+        // paper families at this scale.
         let encode_cfg =
             FracConfig { real_model: RealModel::Constant, ..FracConfig::default() };
         let encode_json =

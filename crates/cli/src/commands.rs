@@ -7,8 +7,9 @@ use frac_core::shard::{
 };
 use frac_core::telemetry::{Counter, TelemetryReport, TelemetrySession};
 use frac_core::{
-    run_variant, FaultPlan, FeatureSelector, FracConfig, FracModel, JournaledFit, RunBudget,
-    ServeConfig, Server, ShardOptions, ShardStat, SolverStrategy, TrainingPlan, Variant,
+    run_variant, FaultPlan, FeatureSelector, FitOptions, FracConfig, FracModel, ResourceReport,
+    RunBudget, RunJournal, ServeConfig, Server, ShardOptions, ShardStat, SolverStrategy,
+    TrainingPlan, Variant,
 };
 use std::time::Duration;
 use frac_dataset::io::{read_tsv, write_tsv};
@@ -323,11 +324,11 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
     if let Some((k, n)) = args.shard_worker {
         let base = args.journal().ok_or("--shard-worker requires --journal")?;
         apply_worker_faults_from_env(&shard_journal_path(base, k, n));
-        let fit = frac_core::shard::worker_run(&train, &plan, &config, &budget, base, k, n)?;
+        let (model, restored) =
+            frac_core::shard::worker_run(&train, &plan, &config, &budget, base, k, n)?;
         eprintln!(
-            "shard {k}/{n}: {} target(s) journaled ({} restored)",
-            fit.model.n_targets(),
-            fit.resumed
+            "shard {k}/{n}: {} target(s) journaled ({restored} restored)",
+            model.n_targets()
         );
         return Ok(());
     }
@@ -444,19 +445,19 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
                             .into())
                     }
                 };
-                let fit = FracModel::resume(&train, &plan, &config, &budget, jpath)
-                    .map_err(|e| format!("{}: {e}", jpath.display()))?;
-                report_journal_fit(&fit, jpath, plan.n_targets());
-                (fit.model, fit.report)
+                // Resuming implies there is something to resume: silently
+                // starting a fresh multi-hour run from a typo'd path is
+                // not helpful.
+                if !jpath.exists() {
+                    return Err(format!("no journal at {} to resume from", jpath.display()).into());
+                }
+                journaled_fit(&train, &plan, &config, budget, jpath)?
             }
         }
     } else if let Some(jpath) = args.journal() {
-        let fit = FracModel::fit_journaled(&train, &plan, &config, &budget, jpath)
-            .map_err(|e| format!("{}: {e}", jpath.display()))?;
-        report_journal_fit(&fit, jpath, plan.n_targets());
-        (fit.model, fit.report)
+        journaled_fit(&train, &plan, &config, budget, jpath)?
     } else {
-        FracModel::fit_budgeted(&train, &plan, &config, &budget)
+        FracModel::fit_with(&train, &plan, &config, FitOptions { budget, ..FitOptions::default() })
     };
     if let Some(stats) = &shard_stats {
         for (k, s) in stats.iter().enumerate() {
@@ -516,23 +517,37 @@ fn train(args: TrainArgs, resuming: bool) -> Result<(), Error> {
     Ok(())
 }
 
-/// Print the resume/degradation status of a journaled single-process fit.
-fn report_journal_fit(fit: &JournaledFit, jpath: &std::path::Path, n_targets: usize) {
-    if fit.resumed > 0 {
+/// Crash-safe single-process fit: open (or resume) the run's journal at
+/// `jpath`, refit only the targets it does not hold, and report the resume
+/// and journal status.
+fn journaled_fit(
+    train: &frac_dataset::Dataset,
+    plan: &TrainingPlan,
+    config: &FracConfig,
+    budget: RunBudget,
+    jpath: &std::path::Path,
+) -> Result<(FracModel, ResourceReport), Error> {
+    let (journal, preloaded) = RunJournal::open_for_run(jpath, train, plan, config)
+        .map_err(|e| format!("{}: {e}", jpath.display()))?;
+    if !preloaded.is_empty() {
         eprintln!(
             "journal {}: {} of {} targets restored, fitting the rest",
             jpath.display(),
-            fit.resumed,
-            n_targets
+            preloaded.len(),
+            plan.n_targets()
         );
     }
-    if fit.journal_broken {
+    let options =
+        FitOptions { budget, journal: Some(&journal), preloaded, ..FitOptions::default() };
+    let fit = FracModel::fit_with(train, plan, config, options);
+    if journal.is_broken() {
         eprintln!(
             "warning: journal {} stopped accepting appends mid-run; \
              the model is complete but a crash would lose checkpoints",
             jpath.display()
         );
     }
+    Ok(fit)
 }
 
 /// Supervisor knobs from the CLI flags, defaulting per [`ShardOptions`].

@@ -55,18 +55,28 @@
 //! * A valid header whose hashes differ from the current run's is an
 //!   **error** ([`JournalError::Mismatch`]) — resuming someone else's run
 //!   silently would corrupt results.
-//! * A torn header (file killed mid-header-write) makes the journal
-//!   **fresh**: it is truncated and rewritten. A file whose first line is
-//!   not the journal magic is an error, never truncated — it is probably
-//!   not ours.
+//! * A torn header — the file ends inside it, because the process was
+//!   killed mid-header-write — makes the journal **fresh**: it is
+//!   truncated and rewritten. Nothing is lost, since no record can follow
+//!   a header that was never finished.
+//! * A complete header that does not parse, or is not byte for byte the
+//!   canonical rendering of the header it parses to, is an **error**
+//!   ([`JournalError::Corrupt`]), never truncated: the records behind it
+//!   may be all that is left of a long run. A file whose first line is
+//!   not the journal magic is likewise an error — it is probably not ours.
 //! * The first record whose frame, checksum, or body fails to validate
 //!   ends the valid region; the file is truncated there and appends
-//!   continue from that offset.
+//!   continue from that offset. A frame must be in canonical form too, so
+//!   a bit flip in it can never yield a record the file does not hold
+//!   byte for byte.
 
+use crate::config::FracConfig;
 use crate::health::{FallbackKind, TargetHealth, TargetOutcome};
 use crate::model::FeatureModel;
 use crate::persist::{parse_feature, write_feature};
+use crate::plan::TrainingPlan;
 use frac_dataset::crc::crc32;
+use frac_dataset::Dataset;
 use frac_dataset::textio::{TextReader, TextWriter};
 use frac_dataset::QuarantineReason;
 use std::io::Write as _;
@@ -95,6 +105,19 @@ pub struct JournalHeader {
     pub plan_hash: u64,
     /// Number of targets the plan asked for.
     pub planned: usize,
+}
+
+impl JournalHeader {
+    /// The header a run of `plan` over `train` under `config` writes, and
+    /// that its resume (or a shard merge) must find.
+    pub fn for_run(train: &Dataset, plan: &TrainingPlan, config: &FracConfig) -> JournalHeader {
+        JournalHeader {
+            config_hash: config.content_hash(),
+            dataset_fingerprint: train.fingerprint(),
+            plan_hash: plan.content_hash(),
+            planned: plan.targets.len(),
+        }
+    }
 }
 
 /// What went wrong opening, scanning, or appending to a journal.
@@ -232,9 +255,11 @@ impl RunJournal {
     /// torn tail, and return the journal (positioned for append) together
     /// with the records already completed.
     ///
-    /// A missing or empty file — or one whose header write was itself torn
-    /// — becomes a fresh journal. A valid header that does not match
-    /// `expected` is a [`JournalError::Mismatch`].
+    /// A missing or empty file — or one that ends inside its header, a
+    /// torn header write — becomes a fresh journal. A complete header that
+    /// is damaged is [`JournalError::Corrupt`], and a valid one that does
+    /// not match `expected` is a [`JournalError::Mismatch`]; both leave the
+    /// file untouched.
     pub fn open_or_create(
         path: impl AsRef<Path>,
         expected: &JournalHeader,
@@ -269,6 +294,22 @@ impl RunJournal {
         }
         let file = std::fs::OpenOptions::new().append(true).open(&path)?;
         Ok((Self::from_file(file, path), scan.records))
+    }
+
+    /// [`RunJournal::open_or_create`] with the header of a run of `plan`
+    /// over `train` under `config` ([`JournalHeader::for_run`]). The
+    /// returned records go to [`crate::model::FitOptions::preloaded`] and
+    /// the journal to [`crate::model::FitOptions::journal`]; if the process
+    /// dies at any byte of the run, opening the same path again with the
+    /// same data, plan and config returns the completed targets, and the
+    /// fit refits only the rest.
+    pub fn open_for_run(
+        path: impl AsRef<Path>,
+        train: &Dataset,
+        plan: &TrainingPlan,
+        config: &FracConfig,
+    ) -> Result<(RunJournal, Vec<TargetRecord>), JournalError> {
+        Self::open_or_create(path, &JournalHeader::for_run(train, plan, config))
     }
 
     /// Scan a journal file without opening it for writing — the crash
@@ -318,11 +359,11 @@ impl RunJournal {
     /// Under an armed abort-after fault only the records that fit its
     /// remaining budget are written (the process dies right after).
     fn write_bodies(&self, bodies: impl Iterator<Item = String>) -> Result<(), JournalError> {
-        use std::fmt::Write as _;
         let mut buf = String::new();
         let mut n_records = 0usize;
         for body in bodies.take(crate::fault::journal_records_before_abort()) {
-            let _ = writeln!(buf, "rec {} {:08x}", body.len(), crc32(body.as_bytes()));
+            buf.push_str(&frame_line(body.len(), crc32(body.as_bytes())));
+            buf.push('\n');
             buf.push_str(&body);
             n_records += 1;
         }
@@ -441,6 +482,11 @@ fn sync_parent_dir(path: &Path) {
     }
 }
 
+/// The frame line (without its newline) that precedes a record body.
+fn frame_line(body_len: usize, crc: u32) -> String {
+    format!("rec {body_len} {crc:08x}")
+}
+
 fn header_text(h: &JournalHeader) -> String {
     format!(
         "{JOURNAL_MAGIC} {JOURNAL_VERSION}\nconfig {:016x}\ndataset {:016x}\nplan {:016x}\nplanned {}\nendheader\n",
@@ -494,70 +540,64 @@ fn read_line(bytes: &[u8], pos: usize) -> Option<(&str, usize)> {
     Some((line, pos + nl + 1))
 }
 
-fn parse_hex_field(line: &str, tag: &str) -> Option<u64> {
-    let rest = line.strip_prefix(tag)?.strip_prefix(' ')?;
-    u64::from_str_radix(rest.trim(), 16).ok()
-}
+/// Number of lines in a journal header, `endheader` included.
+const HEADER_LINES: usize = 6;
 
-/// Parse the header region. `Ok(None)` means torn-but-ours (start fresh);
-/// `Err` means the file is not a journal at all.
+/// Parse the header region. `Ok(None)` means the file ends inside the
+/// header: a torn header write, so start fresh. `Err` means a complete
+/// header that is damaged, or a file that is not a journal at all.
 fn parse_header(bytes: &[u8]) -> Result<Option<(JournalHeader, usize)>, JournalError> {
-    let Some((first, mut pos)) = read_line(bytes, 0) else {
-        // No complete first line. If what's there is a prefix of our magic
-        // line it is a torn header; anything else is not our file.
-        let prefix = format!("{JOURNAL_MAGIC} {JOURNAL_VERSION}");
-        return if prefix.as_bytes().starts_with(bytes) {
-            Ok(None)
-        } else {
-            Err(JournalError::Corrupt("not a fracjournal file".into()))
+    let magic = format!("{JOURNAL_MAGIC} {JOURNAL_VERSION}");
+    let not_ours = || JournalError::Corrupt("not a fracjournal file".into());
+    let damaged = || JournalError::Corrupt("damaged journal header".into());
+    let mut pos = 0;
+    for line_no in 0..HEADER_LINES {
+        let rest = &bytes[pos..];
+        let Some(nl) = rest.iter().position(|&b| b == b'\n') else {
+            // The file ends inside the header. If its first line is (a
+            // prefix of) our magic line, it is a torn header; anything
+            // else is not our file.
+            return if line_no > 0 || magic.as_bytes().starts_with(rest) {
+                Ok(None)
+            } else {
+                Err(not_ours())
+            };
         };
-    };
-    let mut fields = first.split_whitespace();
-    if fields.next() != Some(JOURNAL_MAGIC) {
-        return Err(JournalError::Corrupt("not a fracjournal file".into()));
-    }
-    match fields.next().and_then(|v| v.parse::<u32>().ok()) {
-        Some(v) if v <= JOURNAL_VERSION => {}
-        Some(v) => {
-            return Err(JournalError::Corrupt(format!("unsupported journal version {v}")));
-        }
-        None => return Ok(None),
-    }
-    let mut take_hex = |tag: &str| -> Result<Option<u64>, JournalError> {
-        match read_line(bytes, pos) {
-            None => Ok(None),
-            Some((line, next)) => match parse_hex_field(line, tag) {
-                Some(v) => {
-                    pos = next;
-                    Ok(Some(v))
-                }
-                None => Ok(None),
-            },
-        }
-    };
-    let Some(config_hash) = take_hex("config")? else { return Ok(None) };
-    let Some(dataset_fingerprint) = take_hex("dataset")? else { return Ok(None) };
-    let Some(plan_hash) = take_hex("plan")? else { return Ok(None) };
-    let planned = match read_line(bytes, pos) {
-        Some((line, next)) => match line
-            .strip_prefix("planned ")
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            Some(v) => {
-                pos = next;
-                v
+        if line_no == 0 && rest[..nl] != *magic.as_bytes() {
+            let mut fields = rest[..nl].split(|&b| b == b' ');
+            if fields.next() != Some(JOURNAL_MAGIC.as_bytes()) {
+                return Err(not_ours());
             }
-            None => return Ok(None),
-        },
-        None => return Ok(None),
-    };
-    match read_line(bytes, pos) {
-        Some(("endheader", next)) => Ok(Some((
-            JournalHeader { config_hash, dataset_fingerprint, plan_hash, planned },
-            next,
-        ))),
-        _ => Ok(None),
+            let version: Option<u32> =
+                fields.next().and_then(|v| std::str::from_utf8(v).ok()?.parse().ok());
+            return Err(match version {
+                Some(v) if v > JOURNAL_VERSION => {
+                    JournalError::Corrupt(format!("unsupported journal version {v}"))
+                }
+                _ => damaged(),
+            });
+        }
+        pos += nl + 1;
     }
+    let text = std::str::from_utf8(&bytes[..pos]).map_err(|_| damaged())?;
+    let mut lines = text.lines().skip(1);
+    let mut field = |tag: &str| {
+        lines.next().and_then(|l| l.strip_prefix(tag)?.strip_prefix(' ')).ok_or_else(damaged)
+    };
+    let hex = |v: &str| u64::from_str_radix(v, 16).map_err(|_| damaged());
+    let header = JournalHeader {
+        config_hash: hex(field("config")?)?,
+        dataset_fingerprint: hex(field("dataset")?)?,
+        plan_hash: hex(field("plan")?)?,
+        planned: field("planned")?.parse().map_err(|_| damaged())?,
+    };
+    // Every writer renders the header with `header_text`, so a header that
+    // parses but is not that exact rendering (an upper-case hex digit, a
+    // leading zero turned space, a damaged `endheader`) was altered on disk.
+    if header_text(&header) != text {
+        return Err(damaged());
+    }
+    Ok(Some((header, pos)))
 }
 
 fn scan_bytes(bytes: &[u8]) -> Result<JournalScan, JournalError> {
@@ -585,6 +625,11 @@ fn scan_bytes(bytes: &[u8]) -> Result<JournalScan, JournalError> {
         ) else {
             break;
         };
+        // Only the exact frame a writer renders counts: a damaged frame
+        // can otherwise still parse to the same length and checksum.
+        if line != frame_line(len, crc) {
+            break;
+        }
         let Some(body) = bytes.get(body_start..body_start + len) else { break };
         if crc32(body) != crc {
             break;

@@ -64,7 +64,7 @@ pub use csax::{characterize, CsaxConfig, GeneSet, SampleCharacterization};
 pub use fault::FaultPlan;
 pub use health::{FallbackKind, RunHealth, TargetHealth, TargetOutcome};
 pub use journal::{JournalError, JournalHeader, JournalScan, RunJournal, TargetRecord};
-pub use model::{ContributionMatrix, DualCache, FracModel, JournaledFit};
+pub use model::{ContributionMatrix, DualCache, FitOptions, FracModel};
 pub use plan::{TargetPlan, TrainingPlan};
 pub use resources::ResourceReport;
 pub use selector::FeatureSelector;

@@ -23,14 +23,14 @@
 use crate::config::{CatModel, FracConfig, RealModel};
 use crate::fault::{FaultPlan, INJECTED_PANIC};
 use crate::health::{FallbackKind, RunHealth, TargetHealth, TargetOutcome};
-use crate::journal::{self, JournalError, JournalHeader, RunJournal, TargetRecord};
+use crate::journal::{self, RunJournal, TargetRecord};
 use crate::plan::{TargetPlan, TrainingPlan};
 use crate::resources::ResourceReport;
 use frac_dataset::design::{DesignSpec, PoolSpec};
 use frac_dataset::entropy::column_entropy;
 use frac_dataset::quarantine::{self, QuarantineReason, ScreenReport};
 use frac_dataset::split::{derive_seed, k_fold, Fold};
-use frac_dataset::{Column, Dataset, DesignMatrix, DesignView, EncodedPool, PoolView, RowSubset};
+use frac_dataset::{Column, Dataset, DesignView, EncodedPool, RowSubset};
 use frac_learn::baseline::{ConstantRegressorTrainer, MajorityClassifierTrainer};
 use frac_learn::cv::{cv_classification_folds, cv_regression_folds};
 use frac_learn::svc::SvcTrainer;
@@ -46,7 +46,7 @@ use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// Process-wide fit counter: every [`FracModel::fit`]-family call takes a
+/// Process-wide fit counter: every [`FracModel::fit_with`] call takes a
 /// fresh nonce that scopes the thread-local solver pack cache
 /// ([`frac_learn::solver::pack_cache`]), so a design gathered for one fit
 /// can never be mistaken for the same-shaped design of a later fit over
@@ -375,10 +375,8 @@ type MemberFit = (FeaturePredictor, f64, TrainingCost, Option<PredictorDuals>);
 /// Degenerate problems and non-converged (non-finite) solves come back as
 /// [`TrainError`] instead of panicking or poisoning the model.
 ///
-/// With `pool`, the per-target design matrix is a zero-copy view over the
-/// shared encoded pool and the spec is assembled from pooled encoders
-/// (identical parameters — same fitting code path). Without it, the legacy
-/// owned path fits and encodes a fresh matrix for this predictor alone.
+/// The per-target design matrix is a zero-copy view over the shared
+/// encoded pool, and the spec is assembled from the pooled encoders.
 #[allow(clippy::too_many_arguments)]
 fn fit_predictor(
     train: &Dataset,
@@ -387,7 +385,7 @@ fn fit_predictor(
     config: &FracConfig,
     member_seed: u64,
     fit_nonce: u64,
-    pool: Option<&EncodedPool>,
+    pool: &EncodedPool,
     shared_folds: &[Fold],
     init_duals: Option<&PredictorDuals>,
     budget: &TargetBudget,
@@ -397,35 +395,18 @@ fn fit_predictor(
     // rows per slot, letting repeated gathers of the same (rows, columns)
     // design — and its Gram matrix — be reused instead of rebuilt.
     frac_learn::solver::pack_cache::begin_scope(pack_scope(fit_nonce, target, inputs));
-    let owned: DesignMatrix;
-    let pooled: PoolView<'_>;
-    let spec: DesignSpec;
-    let x_all: &dyn DesignView = match pool {
-        Some(p) => {
-            spec = p.spec().spec_for(inputs);
-            pooled = p.view(inputs);
-            &pooled
-        }
-        None => {
-            spec = DesignSpec::fit(train, inputs, config.standardize);
-            owned = spec.encode(train);
-            &owned
-        }
-    };
-    // Per-target design bytes beyond shared storage: the whole encoded
-    // matrix on the legacy path, only view bookkeeping on the pooled path
+    let spec = pool.spec().spec_for(inputs);
+    let x_all = pool.view(inputs);
+    // Per-target design bytes beyond shared storage: only view bookkeeping
     // (the pool itself is charged once, in the run's ResourceReport).
-    let design_bytes = match pool {
-        Some(_) => x_all.view_overhead_bytes() as u64,
-        None => (x_all.n_rows() * x_all.n_cols() * std::mem::size_of::<f64>()) as u64,
-    };
+    let design_bytes = x_all.view_overhead_bytes() as u64;
 
     match train.column(target) {
         Column::Real(values) => {
             // Train only on rows where the target is present.
             let present: Vec<usize> =
                 (0..train.n_rows()).filter(|&r| !values[r].is_nan()).collect();
-            let x = RowSubset::new(x_all, &present);
+            let x = RowSubset::new(&x_all, &present);
             let y: Vec<f64> = present.iter().map(|&r| values[r]).collect();
             let folds = folds_for_present(
                 shared_folds,
@@ -499,7 +480,7 @@ fn fit_predictor(
             let present: Vec<usize> = (0..train.n_rows())
                 .filter(|&r| codes[r] != frac_dataset::dataset::MISSING_CODE)
                 .collect();
-            let x = RowSubset::new(x_all, &present);
+            let x = RowSubset::new(&x_all, &present);
             let y: Vec<u32> = present.iter().map(|&r| codes[r]).collect();
             let folds = folds_for_present(
                 shared_folds,
@@ -718,7 +699,7 @@ fn guarded_attempt(
     config: &FracConfig,
     member_seed: u64,
     fit_nonce: u64,
-    pool: Option<&EncodedPool>,
+    pool: &EncodedPool,
     shared_folds: &[Fold],
     init: Option<&PredictorDuals>,
     budget: &TargetBudget,
@@ -773,7 +754,7 @@ fn fit_member(
     config: &FracConfig,
     member_seed: u64,
     fit_nonce: u64,
-    pool: Option<&EncodedPool>,
+    pool: &EncodedPool,
     shared_folds: &[Fold],
     init: Option<&PredictorDuals>,
     budget: &TargetBudget,
@@ -885,7 +866,7 @@ fn fit_one_target(
     tp: &TargetPlan,
     config: &FracConfig,
     fit_nonce: u64,
-    pool: Option<&EncodedPool>,
+    pool: &EncodedPool,
     cache_read: Option<&DualCache>,
     screen: &ScreenReport,
     faults: Option<&FaultPlan>,
@@ -1045,24 +1026,60 @@ fn record_to_fit(rec: TargetRecord) -> TargetFit {
     }
 }
 
-/// Outcome of a journaled (crash-safe) fit: the model and report, plus how
-/// much of the run was recovered from the journal instead of refitted.
-pub struct JournaledFit {
-    /// The fitted model, identical to an uninterrupted run's.
-    pub model: FracModel,
-    /// Resource and health accounting over the *whole* run — journaled
-    /// targets contribute the counters recorded when they originally
-    /// fitted, so flops/model bytes are cumulative across crashes.
-    pub report: ResourceReport,
-    /// Targets reloaded from the journal rather than refitted.
-    pub resumed: usize,
-    /// Whether any journal append failed mid-run (the model is still
-    /// complete; only checkpoint durability was lost).
-    pub journal_broken: bool,
+/// Everything [`FracModel::fit_with`] takes beyond the data, plan and
+/// config. `FitOptions::default()` is a plain fit, exactly
+/// [`FracModel::fit`].
+#[derive(Default)]
+pub struct FitOptions<'a> {
+    /// Wall-clock / cancellation budget. Solvers and tree growers poll it
+    /// cooperatively (once per coordinate-descent epoch / every few node
+    /// expansions). When a target's slice expires mid-fit, the attempt
+    /// fails with [`TrainError::DeadlineExceeded`] and the fallback ladder
+    /// substitutes the (unbudgeted, effectively free) baseline predictor,
+    /// recording a `Degraded` health event — so the run still returns a
+    /// scored model that accounts for every planned target, within one
+    /// budget-check interval of the deadline. [`RunBudget::unlimited`]
+    /// (the default) is a plain fit, bit for bit.
+    pub budget: RunBudget,
+    /// Warm-start duals carried across calls: repeated fits of the same
+    /// targets on the same training set (ensemble members, partial-filter
+    /// replicates) seed every SVM solve from the previous call's duals.
+    /// The cache is read before the run and updated with this run's final
+    /// duals afterwards.
+    pub cache: Option<&'a mut DualCache>,
+    /// Deterministic injected faults: forced non-convergence and forced
+    /// panics fire at the plan's targets, so the fault-injection suite can
+    /// exercise the fallback ladder end to end. (Cell poisoning is applied
+    /// by the caller via [`FaultPlan::poison`] before fitting.) An empty
+    /// plan is a plain fit.
+    pub faults: Option<&'a FaultPlan>,
+    /// Write-ahead journal: every completed target is appended before the
+    /// run moves on, so a process that dies at *any* byte of the run loses
+    /// at most the targets in flight. Budget-degraded targets are
+    /// deliberately not journaled, so a resume with more time refits them
+    /// properly. Append failures do not abort the fit; they surface as
+    /// [`RunJournal::is_broken`]. Open it with [`RunJournal::open_for_run`].
+    pub journal: Option<&'a RunJournal>,
+    /// Completed targets to assemble instead of refitting: the records a
+    /// resumed journal returned, or every shard's records for a shard
+    /// merge. Because per-member seeds derive only from `(config.seed,
+    /// target, member)`, a model assembled from a mix of preloaded and
+    /// freshly fitted targets is bit-identical (in
+    /// [`frac_learn::SolverMode::Strict`] mode) to one fitted in a single
+    /// uninterrupted run. Preloaded targets contribute the counters
+    /// recorded when they originally fitted, so the report's flops and
+    /// model bytes are cumulative across crashes.
+    pub preloaded: Vec<TargetRecord>,
 }
 
 impl FracModel {
-    /// Execute a training plan over `train`.
+    /// Execute a training plan over `train`: [`FracModel::fit_with`] with
+    /// [`FitOptions::default`].
+    pub fn fit(train: &Dataset, plan: &TrainingPlan, config: &FracConfig) -> (FracModel, ResourceReport) {
+        Self::fit_with(train, plan, config, FitOptions::default())
+    }
+
+    /// Execute a training plan over `train` under `options`.
     ///
     /// Every feature used as an input anywhere in the plan is encoded once
     /// into a shared [`EncodedPool`]; per-target design matrices are served
@@ -1071,141 +1088,13 @@ impl FracModel {
     /// training, whose `model_bytes` cover all retained predictor/error-model
     /// state, whose `pool_bytes` charge the shared pool once, and whose
     /// `transient_bytes` is the worst single-predictor working set.
-    pub fn fit(train: &Dataset, plan: &TrainingPlan, config: &FracConfig) -> (FracModel, ResourceReport) {
-        Self::fit_pooled(train, plan, config, None, None, &RunBudget::unlimited(), None, Vec::new())
-    }
-
-    /// [`FracModel::fit`] with a [`DualCache`] carried across calls:
-    /// repeated fits of the same targets on the same training set (ensemble
-    /// members, partial-filter replicates) warm-start every SVM solve from
-    /// the previous call's duals. The cache is read before the run and
-    /// updated with this run's final duals afterwards.
-    pub fn fit_cached(
+    pub fn fit_with(
         train: &Dataset,
         plan: &TrainingPlan,
         config: &FracConfig,
-        cache: &mut DualCache,
+        options: FitOptions<'_>,
     ) -> (FracModel, ResourceReport) {
-        Self::fit_pooled(train, plan, config, Some(cache), None, &RunBudget::unlimited(), None, Vec::new())
-    }
-
-    /// [`FracModel::fit`] under a deterministic [`FaultPlan`]: forced
-    /// non-convergence and forced panics fire at the plan's targets, so the
-    /// fault-injection suite can exercise the fallback ladder end to end.
-    /// (Cell poisoning is applied by the caller via [`FaultPlan::poison`]
-    /// before fitting.) An empty plan is exactly [`FracModel::fit`].
-    pub fn fit_with_faults(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-        faults: &FaultPlan,
-    ) -> (FracModel, ResourceReport) {
-        Self::fit_pooled(train, plan, config, None, Some(faults), &RunBudget::unlimited(), None, Vec::new())
-    }
-
-    /// [`FracModel::fit`] under a wall-clock / cancellation [`RunBudget`].
-    ///
-    /// Solvers and tree growers poll the budget cooperatively (once per
-    /// coordinate-descent epoch / every few node expansions). When a
-    /// target's slice of the budget expires mid-fit, the attempt fails
-    /// with [`TrainError::DeadlineExceeded`] and the fallback ladder
-    /// substitutes the (unbudgeted, effectively free) baseline predictor,
-    /// recording a `Degraded` health event — so the run still returns a
-    /// scored model that accounts for every planned target, within one
-    /// budget-check interval of the deadline. With
-    /// [`RunBudget::unlimited`] this is exactly [`FracModel::fit`],
-    /// bit for bit.
-    pub fn fit_budgeted(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-        budget: &RunBudget,
-    ) -> (FracModel, ResourceReport) {
-        Self::fit_pooled(train, plan, config, None, None, budget, None, Vec::new())
-    }
-
-    /// Crash-safe fit: like [`FracModel::fit_budgeted`], but every
-    /// completed target is appended to a write-ahead journal at
-    /// `journal_path` (created if absent, resumed if present) before the
-    /// run moves on. If the process dies at *any* byte of the run, calling
-    /// this again with the same data, plan, and config reloads the
-    /// completed targets and fits only the rest — and the assembled model
-    /// is bit-identical (in [`frac_learn::SolverMode::Strict`] mode) to an
-    /// uninterrupted run, because per-target results depend only on
-    /// `(data, config)`, never on schedule or solve history.
-    ///
-    /// Budget-degraded targets are deliberately *not* journaled, so a
-    /// resume with more time refits them properly.
-    ///
-    /// Errors only on journal problems the caller must decide about: a
-    /// journal written by a different run ([`JournalError::Mismatch`]), a
-    /// file that is not a journal, or I/O failure opening it. Append
-    /// failures mid-run do not abort the fit; they surface as
-    /// [`JournaledFit::journal_broken`].
-    pub fn fit_journaled(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-        budget: &RunBudget,
-        journal_path: impl AsRef<std::path::Path>,
-    ) -> Result<JournaledFit, JournalError> {
-        let header = JournalHeader {
-            config_hash: config.content_hash(),
-            dataset_fingerprint: train.fingerprint(),
-            plan_hash: plan.content_hash(),
-            planned: plan.targets.len(),
-        };
-        let (journal, records) = RunJournal::open_or_create(journal_path, &header)?;
-        let resumed = records.len();
-        let (model, report) = Self::fit_pooled(
-            train,
-            plan,
-            config,
-            None,
-            None,
-            budget,
-            Some(&journal),
-            records,
-        );
-        Ok(JournaledFit { model, report, resumed, journal_broken: journal.is_broken() })
-    }
-
-    /// Resume a crashed journaled run. Identical to
-    /// [`FracModel::fit_journaled`] except that a *missing* journal is an
-    /// error — resuming implies there is something to resume; silently
-    /// starting a fresh multi-hour run from a typo'd path is not helpful.
-    pub fn resume(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-        budget: &RunBudget,
-        journal_path: impl AsRef<std::path::Path>,
-    ) -> Result<JournaledFit, JournalError> {
-        let path = journal_path.as_ref();
-        if !path.exists() {
-            return Err(JournalError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                format!("no journal at {} to resume from", path.display()),
-            )));
-        }
-        Self::fit_journaled(train, plan, config, budget, path)
-    }
-
-    // `pub(crate)` for the shard supervisor: merging per-shard journals is
-    // a pooled fit of the full plan with every record preloaded — the same
-    // assembly path a single-process resume takes, which is what makes the
-    // merge bit-identical by construction.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fit_pooled(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-        cache: Option<&mut DualCache>,
-        faults: Option<&FaultPlan>,
-        budget: &RunBudget,
-        journal: Option<&RunJournal>,
-        preloaded: Vec<TargetRecord>,
-    ) -> (FracModel, ResourceReport) {
+        let FitOptions { budget, mut cache, faults, journal, preloaded } = options;
         // Screen before anything reaches an encoder or solver; when the
         // data carries no ±Inf poison, `sanitize` returns `None` and the
         // original dataset flows through untouched (bit-identical path).
@@ -1227,59 +1116,7 @@ impl FracModel {
         let pool = PoolSpec::fit(train, &features, config.standardize).encode(train);
         telemetry::counter_add(telemetry::Counter::EncodedCells, pool.n_cells() as u64);
         drop(encode_span);
-        Self::fit_inner(
-            train,
-            plan,
-            config,
-            Some(&pool),
-            cache,
-            &screen,
-            faults,
-            budget,
-            journal,
-            preloaded,
-        )
-    }
 
-    /// Legacy fit path: every predictor fits and encodes its own design
-    /// matrix (`O(f² · n)` encode work on a full plan). Kept for regression
-    /// tests and benchmarks against the pooled path; produces bit-identical
-    /// models because both paths share one encoder implementation.
-    pub fn fit_unpooled(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-    ) -> (FracModel, ResourceReport) {
-        let screen = quarantine::screen(train);
-        let sanitized = if screen.needs_sanitize() { quarantine::sanitize(train) } else { None };
-        let train = sanitized.as_ref().unwrap_or(train);
-        Self::fit_inner(
-            train,
-            plan,
-            config,
-            None,
-            None,
-            &screen,
-            None,
-            &RunBudget::unlimited(),
-            None,
-            Vec::new(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn fit_inner(
-        train: &Dataset,
-        plan: &TrainingPlan,
-        config: &FracConfig,
-        pool: Option<&EncodedPool>,
-        cache: Option<&mut DualCache>,
-        screen: &ScreenReport,
-        faults: Option<&FaultPlan>,
-        budget: &RunBudget,
-        journal: Option<&RunJournal>,
-        preloaded: Vec<TargetRecord>,
-    ) -> (FracModel, ResourceReport) {
         let t0 = Instant::now();
         let fit_nonce = FIT_NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         telemetry::counter_add(telemetry::Counter::KernelTier, kernel_tier_code(config));
@@ -1290,12 +1127,9 @@ impl FracModel {
             k_fold(train.n_rows(), config.cv_folds, derive_seed(config.seed, 0xF01D));
         let cache_read: Option<&DualCache> = cache.as_deref();
 
-        // Slot per planned target, in plan order. Journal records fill
+        // Slot per planned target, in plan order. Preloaded records fill
         // their slots up front (first record wins on a duplicate); the
-        // parallel loop fits only the empty ones. Because per-member seeds
-        // derive from (config.seed, target, member), a model assembled
-        // from a mix of reloaded and freshly fitted targets is
-        // bit-identical to one fitted in a single uninterrupted run.
+        // parallel loop fits only the empty ones.
         let mut slots: Vec<Option<TargetFit>> = Vec::new();
         slots.resize_with(plan.targets.len(), || None);
         if !preloaded.is_empty() {
@@ -1318,12 +1152,12 @@ impl FracModel {
                 tp,
                 config,
                 fit_nonce,
-                pool,
+                &pool,
                 cache_read,
-                screen,
+                &screen,
                 faults,
                 &shared_folds,
-                budget,
+                &budget,
             );
             if let Some(tx) = tx {
                 if !tf.deadline_hit {
@@ -1374,7 +1208,7 @@ impl FracModel {
 
         let mut report = ResourceReport {
             dataset_bytes: train.approx_bytes() as u64,
-            pool_bytes: pool.map_or(0, |p| p.approx_bytes() as u64),
+            pool_bytes: pool.approx_bytes() as u64,
             ..ResourceReport::default()
         };
         let mut health = RunHealth {
@@ -1384,7 +1218,6 @@ impl FracModel {
             events: Vec::new(),
         };
         let mut features = Vec::with_capacity(slots.len());
-        let mut cache = cache;
         for tf in slots.into_iter().flatten() {
             report.flops += tf.flops;
             report.transient_bytes = report.transient_bytes.max(tf.transient);
@@ -1468,18 +1301,6 @@ impl FracModel {
         let test = sanitized.as_ref().unwrap_or(test);
         let specs = self.features.iter().flat_map(|fm| fm.predictors.iter().map(|fp| &fp.spec));
         let pool = PoolSpec::from_specs(test.n_features(), specs).encode(test);
-        self.contributions_inner(test, Some(&pool))
-    }
-
-    /// Legacy scoring path: every predictor re-encodes the test set from its
-    /// own spec. Kept for regression tests against the pooled path.
-    pub fn contributions_unpooled(&self, test: &Dataset) -> ContributionMatrix {
-        let sanitized = quarantine::sanitize(test);
-        let test = sanitized.as_ref().unwrap_or(test);
-        self.contributions_inner(test, None)
-    }
-
-    fn contributions_inner(&self, test: &Dataset, pool: Option<&EncodedPool>) -> ContributionMatrix {
         let n_rows = test.n_rows();
         let values: Vec<Vec<f64>> = self
             .features
@@ -1489,18 +1310,7 @@ impl FracModel {
                 let _score_span = telemetry::span(telemetry::Stage::Score);
                 let mut col = vec![0.0f64; n_rows];
                 for fp in &fm.predictors {
-                    let owned: DesignMatrix;
-                    let pooled: PoolView<'_>;
-                    let x: &dyn DesignView = match pool {
-                        Some(p) => {
-                            pooled = p.view(fp.spec.input_features());
-                            &pooled
-                        }
-                        None => {
-                            owned = fp.spec.encode(test);
-                            &owned
-                        }
-                    };
+                    let x = pool.view(fp.spec.input_features());
                     let mut row_buf = vec![0.0f64; x.n_cols()];
                     match (&fp.model, &fp.error, test.column(fm.target)) {
                         (

@@ -8,7 +8,7 @@
 //! ([`shard_journal_path`]), and reassemble. Because per-member seeds derive
 //! only from `(config, target, member)` — never from schedule — a model
 //! assembled from N shard journals is bit-identical to a single-process run
-//! by construction; the merge is one pooled `FracModel` fit over the full
+//! by construction; the merge is one [`FracModel::fit_with`] over the full
 //! plan with every shard record preloaded, the same path a single-process
 //! resume takes.
 //!
@@ -27,8 +27,8 @@
 
 use crate::config::FracConfig;
 use crate::health::RunHealth;
-use crate::journal::{self, JournalError, RunJournal, TargetRecord};
-use crate::model::{FracModel, JournaledFit};
+use crate::journal::{self, JournalError, JournalHeader, RunJournal, TargetRecord};
+use crate::model::{FitOptions, FracModel};
 use crate::plan::TrainingPlan;
 use crate::resources::ResourceReport;
 use frac_dataset::Dataset;
@@ -337,7 +337,8 @@ pub fn backoff_delay(attempt: usize, base: Duration, cap: Duration) -> Duration 
 /// `plan`, journaled into [`shard_journal_path`]`(base_journal, ..)`.
 /// Resumes from an existing shard journal (foreign journals are refused
 /// with the named-hash mismatch detail) and fits the missing targets under
-/// the usual budget and fallback ladder.
+/// the usual budget and fallback ladder. Returns the shard's model and how
+/// many of its targets were restored from the journal rather than refitted.
 ///
 /// Both the `--shard-worker` CLI mode and the supervisor's in-process
 /// reclaim path run exactly this, so a reclaimed shard journals its
@@ -353,12 +354,23 @@ pub fn worker_run(
     base_journal: &Path,
     shard: usize,
     n_shards: usize,
-) -> Result<JournaledFit, ShardError> {
+) -> Result<(FracModel, usize), ShardError> {
     assert!(shard < n_shards, "shard index out of range");
     let sub = shard_plan(plan, n_shards).swap_remove(shard);
     let path = shard_journal_path(base_journal, shard, n_shards);
-    FracModel::fit_journaled(train, &sub, config, budget, &path)
-        .map_err(|source| ShardError::Journal { shard, path, source })
+    let (journal, preloaded) = match RunJournal::open_for_run(&path, train, &sub, config) {
+        Ok(opened) => opened,
+        Err(source) => return Err(ShardError::Journal { shard, path, source }),
+    };
+    let restored = preloaded.len();
+    let options = FitOptions {
+        budget: budget.clone(),
+        journal: Some(&journal),
+        preloaded,
+        ..FitOptions::default()
+    };
+    let (model, _) = FracModel::fit_with(train, &sub, config, options);
+    Ok((model, restored))
 }
 
 /// Enact process-level injected faults in a worker process, per the
@@ -666,14 +678,9 @@ fn finish_and_merge(
             Err(source) => return Err(ShardError::Journal { shard: k, path, source }),
         };
         // A complete foreign journal skips the reclaim phase (whose
-        // `fit_journaled` would have refused it), so its records must not
+        // journal open would have refused it), so its records must not
         // reach the merge unverified.
-        let expected = crate::journal::JournalHeader {
-            config_hash: config.content_hash(),
-            dataset_fingerprint: train.fingerprint(),
-            plan_hash: sub.content_hash(),
-            planned: sub.n_targets(),
-        };
+        let expected = JournalHeader::for_run(train, sub, config);
         if let Some(found) = &scan.header {
             if *found != expected {
                 return Err(ShardError::Journal {
@@ -699,8 +706,9 @@ fn finish_and_merge(
         records.extend(scan.records);
     }
 
-    let (mut model, report) =
-        FracModel::fit_pooled(train, plan, config, None, None, budget, None, records);
+    let options =
+        FitOptions { budget: budget.clone(), preloaded: records, ..FitOptions::default() };
+    let (mut model, report) = FracModel::fit_with(train, plan, config, options);
     model.shard_restarts = stats.iter().map(|s| s.restarts).collect();
     Ok(ShardRun { model, report, stats, journal_health })
 }

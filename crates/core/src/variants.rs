@@ -7,7 +7,7 @@
 //! projection, fit a [`FracModel`], score.
 
 use crate::config::FracConfig;
-use crate::model::{ContributionMatrix, DualCache, FracModel};
+use crate::model::{ContributionMatrix, DualCache, FitOptions, FracModel};
 use crate::plan::TrainingPlan;
 use crate::resources::ResourceReport;
 use crate::selector::FeatureSelector;
@@ -197,10 +197,8 @@ fn fit_and_score(
     selected: Option<Vec<usize>>,
     cache: Option<&mut DualCache>,
 ) -> VariantOutcome {
-    let (model, resources) = match cache {
-        Some(cache) => FracModel::fit_cached(train, plan, config, cache),
-        None => FracModel::fit(train, plan, config),
-    };
+    let (model, resources) =
+        FracModel::fit_with(train, plan, config, FitOptions { cache, ..FitOptions::default() });
     let contributions = model.contributions(test);
     let ns = contributions.ns_scores();
     VariantOutcome {

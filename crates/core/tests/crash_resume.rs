@@ -8,7 +8,8 @@
 //! (the fast path's warm starts are schedule-dependent by design).
 
 use frac_core::{
-    FracConfig, FracModel, JournalError, RunBudget, RunJournal, SolverMode, TrainingPlan,
+    FitOptions, FracConfig, FracModel, JournalError, ResourceReport, RunBudget, RunJournal,
+    SolverMode, TrainingPlan,
 };
 use frac_dataset::Dataset;
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
@@ -46,6 +47,25 @@ fn truncate_copy(full: &Path, out: &Path, len: usize) {
     std::fs::write(out, &bytes[..len.min(bytes.len())]).unwrap();
 }
 
+/// A journaled fit as a crash-safe caller runs one: open (or resume) the
+/// run's journal at `path`, then fit with its completed targets preloaded.
+/// Returns the model, its report, and how many targets were restored.
+fn journaled_fit(
+    train: &Dataset,
+    plan: &TrainingPlan,
+    cfg: &FracConfig,
+    budget: RunBudget,
+    path: &Path,
+) -> Result<(FracModel, ResourceReport, usize), JournalError> {
+    let (journal, preloaded) = RunJournal::open_for_run(path, train, plan, cfg)?;
+    let restored = preloaded.len();
+    let options =
+        FitOptions { budget, journal: Some(&journal), preloaded, ..FitOptions::default() };
+    let (model, report) = FracModel::fit_with(train, plan, cfg, options);
+    assert!(!journal.is_broken(), "journal appends must not fail");
+    Ok((model, report, restored))
+}
+
 fn assert_bitwise_eq(a: &[f64], b: &[f64], what: &str) {
     assert_eq!(a.len(), b.len());
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
@@ -67,17 +87,10 @@ fn resume_after_crash_at_every_record_boundary_is_bitwise_identical() {
     let dir = temp_dir("boundaries");
 
     let full_journal = dir.join("full.frj");
-    let fit = FracModel::fit_journaled(
-        &train,
-        &plan,
-        &cfg,
-        &RunBudget::unlimited(),
-        &full_journal,
-    )
-    .unwrap();
-    assert_eq!(fit.resumed, 0);
-    assert!(!fit.journal_broken);
-    let reference_ns = fit.model.score(&test);
+    let (model, _, restored) =
+        journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &full_journal).unwrap();
+    assert_eq!(restored, 0);
+    let reference_ns = model.score(&test);
 
     // Every prefix that a crash could leave at a clean boundary: nothing,
     // just the header, header + k records.
@@ -89,23 +102,21 @@ fn resume_after_crash_at_every_record_boundary_is_bitwise_identical() {
     for (k, &cut) in cut_points.iter().enumerate() {
         let partial = dir.join(format!("cut{k}.frj"));
         truncate_copy(&full_journal, &partial, cut);
-        let resumed =
-            FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &partial)
-                .unwrap();
+        let (resumed, _, _) =
+            journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &partial).unwrap();
         assert_bitwise_eq(
             &reference_ns,
-            &resumed.model.score(&test),
+            &resumed.score(&test),
             &format!("crash at boundary {k} (byte {cut})"),
         );
         // The resumed journal is complete again: a second resume restores
         // every target without refitting anything.
-        let again =
-            FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &partial)
-                .unwrap();
-        assert_eq!(again.resumed, plan.n_targets());
+        let (again, _, restored) =
+            journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &partial).unwrap();
+        assert_eq!(restored, plan.n_targets());
         assert_bitwise_eq(
             &reference_ns,
-            &again.model.score(&test),
+            &again.score(&test),
             "second resume of a completed journal",
         );
     }
@@ -118,12 +129,11 @@ fn resume_refuses_a_journal_from_a_different_run() {
     let cfg = strict_config();
     let dir = temp_dir("mismatch");
     let journal = dir.join("run.frj");
-    FracModel::fit_journaled(&train, &plan, &cfg, &RunBudget::unlimited(), &journal)
-        .unwrap();
+    journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &journal).unwrap();
 
     // Different seed → different config hash → refuse, don't silently mix.
     let other = cfg.with_seed(99);
-    match FracModel::resume(&train, &plan, &other, &RunBudget::unlimited(), &journal) {
+    match journaled_fit(&train, &plan, &other, RunBudget::unlimited(), &journal) {
         Err(JournalError::Mismatch(detail)) => {
             assert!(detail.contains("config"), "{detail}")
         }
@@ -133,26 +143,10 @@ fn resume_refuses_a_journal_from_a_different_run() {
 
     // Different plan likewise.
     let smaller = TrainingPlan::full_filtered(&[0, 2, 4]);
-    match FracModel::resume(&train, &smaller, &cfg, &RunBudget::unlimited(), &journal) {
+    match journaled_fit(&train, &smaller, &cfg, RunBudget::unlimited(), &journal) {
         Err(JournalError::Mismatch(_)) => {}
         Err(e) => panic!("expected a header mismatch, got {e}"),
         Ok(_) => panic!("expected a header mismatch, got a model"),
-    }
-
-    // And a missing journal is an error for `resume` (it would silently be
-    // a fresh run otherwise).
-    match FracModel::resume(
-        &train,
-        &plan,
-        &cfg,
-        &RunBudget::unlimited(),
-        dir.join("absent.frj"),
-    ) {
-        Err(JournalError::Io(e)) => {
-            assert_eq!(e.kind(), std::io::ErrorKind::NotFound)
-        }
-        Err(e) => panic!("expected NotFound, got {e}"),
-        Ok(_) => panic!("expected NotFound, got a model"),
     }
 }
 
@@ -177,8 +171,7 @@ fn a_shard_journal_is_foreign_to_a_full_plan_resume() {
     )
     .unwrap();
     let shard_journal = frac_core::shard::shard_journal_path(&base, 0, 2);
-    match FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &shard_journal)
-    {
+    match journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &shard_journal) {
         Err(JournalError::Mismatch(detail)) => {
             assert!(detail.contains("training plan hash"), "{detail}");
             assert!(detail.contains("planned target count"), "{detail}");
@@ -206,22 +199,17 @@ fn deadline_run_journals_only_clean_targets_and_resume_completes_them() {
     // — a checkpoint must never launder a provisional result into a final
     // one.
     let journal = dir.join("run.frj");
-    let rushed = FracModel::fit_journaled(
-        &train,
-        &plan,
-        &cfg,
-        &RunBudget::with_deadline(Duration::ZERO),
-        &journal,
-    )
-    .unwrap();
-    assert_eq!(rushed.report.health.targets_planned, plan.n_targets());
-    assert_eq!(rushed.report.health.targets_survived, plan.n_targets());
+    let (rushed, report, _) =
+        journaled_fit(&train, &plan, &cfg, RunBudget::with_deadline(Duration::ZERO), &journal)
+            .unwrap();
+    assert_eq!(report.health.targets_planned, plan.n_targets());
+    assert_eq!(report.health.targets_survived, plan.n_targets());
     assert!(
-        rushed.report.health.n_degraded() >= plan.n_targets(),
+        report.health.n_degraded() >= plan.n_targets(),
         "every target must record its baseline substitution: {}",
-        rushed.report.health.summary()
+        report.health.summary()
     );
-    let ns = rushed.model.score(&test);
+    let ns = rushed.score(&test);
     assert!(ns.iter().all(|s| s.is_finite()), "{ns:?}");
     assert_eq!(
         RunJournal::scan(&journal).unwrap().records.len(),
@@ -230,13 +218,12 @@ fn deadline_run_journals_only_clean_targets_and_resume_completes_them() {
     );
 
     // Resuming with an unlimited budget converges to the full model.
-    let finished =
-        FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &journal)
-            .unwrap();
-    assert!(finished.report.health.is_clean());
+    let (finished, report, _) =
+        journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &journal).unwrap();
+    assert!(report.health.is_clean());
     assert_bitwise_eq(
         &reference_ns,
-        &finished.model.score(&test),
+        &finished.score(&test),
         "deadline run then unlimited resume",
     );
 }
@@ -257,17 +244,15 @@ fn cancelled_run_resumes_to_the_same_model() {
     let (budget, handle) = RunBudget::unlimited().cancellable();
     handle.cancel();
     let journal = dir.join("run.frj");
-    let cancelled =
-        FracModel::fit_journaled(&train, &plan, &cfg, &budget, &journal).unwrap();
-    assert_eq!(cancelled.report.health.targets_survived, plan.n_targets());
+    let (_, report, _) = journaled_fit(&train, &plan, &cfg, budget, &journal).unwrap();
+    assert_eq!(report.health.targets_survived, plan.n_targets());
     assert_eq!(RunJournal::scan(&journal).unwrap().records.len(), 0);
 
-    let finished =
-        FracModel::resume(&train, &plan, &cfg, &RunBudget::unlimited(), &journal)
-            .unwrap();
+    let (finished, _, _) =
+        journaled_fit(&train, &plan, &cfg, RunBudget::unlimited(), &journal).unwrap();
     assert_bitwise_eq(
         &reference.score(&test),
-        &finished.model.score(&test),
+        &finished.score(&test),
         "cancelled run then resume",
     );
 }
@@ -288,20 +273,20 @@ proptest! {
         let dir = temp_dir("proptest");
 
         let full_journal = dir.join("full.frj");
-        let fit = FracModel::fit_journaled(
-            &train, &plan, &cfg, &RunBudget::unlimited(), &full_journal,
+        let (model, _, _) = journaled_fit(
+            &train, &plan, &cfg, RunBudget::unlimited(), &full_journal,
         ).unwrap();
-        let reference_ns = fit.model.score(&test);
+        let reference_ns = model.score(&test);
 
         let len = std::fs::metadata(&full_journal).unwrap().len() as usize;
         let cut = ((len as f64) * cut_frac) as usize;
         let partial = dir.join(format!("cut-{cut}.frj"));
         truncate_copy(&full_journal, &partial, cut);
 
-        let resumed = FracModel::resume(
-            &train, &plan, &cfg, &RunBudget::unlimited(), &partial,
+        let (resumed, _, _) = journaled_fit(
+            &train, &plan, &cfg, RunBudget::unlimited(), &partial,
         ).unwrap();
-        let ns = resumed.model.score(&test);
+        let ns = resumed.score(&test);
         for (x, y) in reference_ns.iter().zip(&ns) {
             prop_assert_eq!(x.to_bits(), y.to_bits(), "crash at byte {}", cut);
         }

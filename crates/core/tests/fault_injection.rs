@@ -8,7 +8,7 @@
 
 use frac_core::fault::INJECTED_PANIC;
 use frac_core::{
-    FallbackKind, FaultPlan, FracConfig, FracModel, TargetOutcome, TrainingPlan,
+    FallbackKind, FaultPlan, FitOptions, FracConfig, FracModel, TargetOutcome, TrainingPlan,
 };
 use frac_dataset::dataset::{DatasetBuilder, MISSING_CODE};
 use frac_dataset::Dataset;
@@ -66,7 +66,9 @@ fn empty_fault_plan_is_bitwise_identical_to_plain_fit() {
     let cfg = FracConfig::default();
 
     let (plain, plain_report) = FracModel::fit(&train, &plan, &cfg);
-    let (guarded, guarded_report) = FracModel::fit_with_faults(&train, &plan, &cfg, &FaultPlan::none());
+    let none = FaultPlan::none();
+    let options = FitOptions { faults: Some(&none), ..FitOptions::default() };
+    let (guarded, guarded_report) = FracModel::fit_with(&train, &plan, &cfg, options);
 
     let (a, b) = (plain.score(&test), guarded.score(&test));
     for (x, y) in a.iter().zip(&b) {
@@ -178,8 +180,8 @@ fn forced_divergence_falls_back_to_strict_solver() {
     let data = expr_data(24, 8, 5);
     let plan = TrainingPlan::full(8);
     let faults = FaultPlan::seeded(1).with_diverge_at([1, 4]);
-    let (model, report) =
-        FracModel::fit_with_faults(&data, &plan, &FracConfig::default(), &faults);
+    let options = FitOptions { faults: Some(&faults), ..FitOptions::default() };
+    let (model, report) = FracModel::fit_with(&data, &plan, &FracConfig::default(), options);
 
     for t in [1usize, 4] {
         assert!(
@@ -202,8 +204,8 @@ fn forced_panics_are_caught_and_baselined() {
     let plan = TrainingPlan::full(10);
     // ≥ 10% of targets panic mid-fit.
     let faults = FaultPlan::seeded(2).with_panic_at([0, 5, 9]);
-    let (model, report) =
-        FracModel::fit_with_faults(&data, &plan, &FracConfig::default(), &faults);
+    let options = FitOptions { faults: Some(&faults), ..FitOptions::default() };
+    let (model, report) = FracModel::fit_with(&data, &plan, &FracConfig::default(), options);
 
     for t in [0usize, 5, 9] {
         let rescued = report.health.events_for(t).any(|e| match &e.outcome {
@@ -229,8 +231,8 @@ fn combined_disaster_never_panics_and_accounts_for_every_target() {
         .with_diverge_at([2, 6])
         .with_panic_at([3, 8]);
     let poisoned = faults.poison(&data);
-    let (model, report) =
-        FracModel::fit_with_faults(&poisoned, &plan, &FracConfig::default(), &faults);
+    let options = FitOptions { faults: Some(&faults), ..FitOptions::default() };
+    let (model, report) = FracModel::fit_with(&poisoned, &plan, &FracConfig::default(), options);
 
     // Every explicitly faulted target has at least one health event.
     for t in [2usize, 3, 6, 8] {
@@ -295,8 +297,9 @@ proptest! {
             .with_diverge_at(diverge.iter().copied())
             .with_panic_at(panic_at.iter().copied());
         let poisoned = faults.poison(&data);
+        let options = FitOptions { faults: Some(&faults), ..FitOptions::default() };
         let (model, report) =
-            FracModel::fit_with_faults(&poisoned, &plan, &FracConfig::default(), &faults);
+            FracModel::fit_with(&poisoned, &plan, &FracConfig::default(), options);
 
         // Accounting invariants hold under any fault plan.
         prop_assert_eq!(report.health.targets_planned, 8);

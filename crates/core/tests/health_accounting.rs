@@ -5,7 +5,7 @@
 
 use frac_core::fault::INJECTED_PANIC;
 use frac_core::{
-    FallbackKind, FaultPlan, FracConfig, FracModel, RunBudget, TargetOutcome,
+    FallbackKind, FaultPlan, FitOptions, FracConfig, FracModel, RunBudget, TargetOutcome,
     TrainingPlan,
 };
 use frac_dataset::Dataset;
@@ -78,12 +78,9 @@ fn expired_budget_baselines_every_target_fast_and_accounts_for_all() {
     let cfg = FracConfig::default();
 
     let start = std::time::Instant::now();
-    let (model, report) = FracModel::fit_budgeted(
-        &train,
-        &plan,
-        &cfg,
-        &RunBudget::with_deadline(Duration::ZERO),
-    );
+    let budget = RunBudget::with_deadline(Duration::ZERO);
+    let options = FitOptions { budget, ..FitOptions::default() };
+    let (model, report) = FracModel::fit_with(&train, &plan, &cfg, options);
     let elapsed = start.elapsed();
 
     // Every target survives via its baseline and says why.
@@ -118,8 +115,8 @@ fn cancel_mid_api_is_honoured_before_any_solve() {
     let plan = TrainingPlan::full(6);
     let (budget, handle) = RunBudget::unlimited().cancellable();
     handle.cancel();
-    let (model, report) =
-        FracModel::fit_budgeted(&train, &plan, &FracConfig::default(), &budget);
+    let options = FitOptions { budget, ..FitOptions::default() };
+    let (model, report) = FracModel::fit_with(&train, &plan, &FracConfig::default(), options);
     assert_eq!(report.health.targets_survived, 6);
     assert!(report.health.n_degraded() >= 6, "{}", report.health.summary());
     assert!(model.score(&train).iter().all(|s| s.is_finite()));
@@ -146,8 +143,9 @@ proptest! {
             .with_diverge_at(diverge.iter().copied())
             .with_panic_at(panic_at.iter().copied());
         let poisoned = faults.poison(&data);
+        let options = FitOptions { faults: Some(&faults), ..FitOptions::default() };
         let (model, report) =
-            FracModel::fit_with_faults(&poisoned, &plan, &FracConfig::default(), &faults);
+            FracModel::fit_with(&poisoned, &plan, &FracConfig::default(), options);
 
         let h = &report.health;
         prop_assert_eq!(h.targets_planned, 7);

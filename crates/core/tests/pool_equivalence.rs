@@ -1,13 +1,17 @@
 //! Regression tests for the two performance layers:
 //!
-//! * The shared encoded-feature pool must be a pure performance change: NS
-//!   scores from the pooled fit/score paths are bit-identical
-//!   (`f64::to_bits`) to the legacy owned-matrix paths, on both paper model
-//!   families, at any thread count. These tests pin
-//!   [`SolverMode::Strict`], whose exact sequential kernels make pooled
-//!   segment iteration reproduce the owned fold bit for bit; the fast
-//!   solver's blocked kernels group FP sums differently per segment, so it
-//!   is gated by tolerance instead (below).
+//! * The shared encoded-feature pool must be a pure performance change.
+//!   That the pooled views train and cross-validate every model family bit
+//!   for bit like matrices from `DesignSpec::encode` is pinned where both
+//!   sides are public: frac-learn's `pool_reference` (trees, CV) and
+//!   `dual_cd_reference` (strict SVR/SVC) suites, and frac-dataset's pool
+//!   tests. Here the strict end-to-end fit, on both paper model families,
+//!   must charge its pool and score every test row alone bit for bit
+//!   (`f64::to_bits`) as in a batch, and pooled NS scores must not depend
+//!   on the thread count. [`SolverMode::Strict`] is pinned because its
+//!   exact sequential kernels are the bitwise reference; the fast solver's
+//!   blocked kernels group FP sums differently per segment, so it is gated
+//!   by tolerance instead (below).
 //! * The fast solver path (shrinking + warm starts + blocked kernels) must
 //!   agree with the strict reference to solver tolerance: NS scores within
 //!   a small relative tolerance and **identical anomaly rankings**, on both
@@ -71,42 +75,32 @@ fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
     }
 }
 
-/// Fit + score through the pooled paths and the legacy owned paths; every
-/// combination must agree bitwise.
-fn check_pooled_matches_unpooled(train: &Dataset, test: &Dataset, config: &FracConfig, what: &str) {
+/// Strict fit + score of `train`: the fit reports its shared pool, and
+/// every test row scored on its own (a scoring pool over that row alone)
+/// matches the batch bitwise.
+fn check_strict_pooled_fit(train: &Dataset, test: &Dataset, config: &FracConfig, what: &str) {
     let plan = TrainingPlan::full(train.n_features());
-    let (pooled, pooled_report) = FracModel::fit(train, &plan, config);
-    let (unpooled, unpooled_report) = FracModel::fit_unpooled(train, &plan, config);
+    let (model, report) = FracModel::fit(train, &plan, config);
+    assert!(report.pool_bytes > 0, "{what}: a fit must report its pool");
 
-    let ns_pooled = pooled.score(test);
-    let ns_cross = pooled.contributions_unpooled(test).ns_scores();
-    let ns_unpooled = unpooled.contributions_unpooled(test).ns_scores();
-    assert_bits_eq(&ns_pooled, &ns_cross, &format!("{what}: pooled fit, scoring paths"));
-    assert_bits_eq(&ns_pooled, &ns_unpooled, &format!("{what}: pooled vs legacy end-to-end"));
-
-    // The pool is charged once; the legacy path charges matrices per target.
-    assert!(pooled_report.pool_bytes > 0, "{what}: pooled run must report a pool");
-    assert_eq!(unpooled_report.pool_bytes, 0, "{what}: legacy run has no pool");
-    assert!(
-        pooled_report.transient_bytes <= unpooled_report.transient_bytes,
-        "{what}: pooled transients must not exceed legacy ({} vs {})",
-        pooled_report.transient_bytes,
-        unpooled_report.transient_bytes
-    );
+    let ns = model.score(test);
+    let one_by_one: Vec<f64> =
+        (0..test.n_rows()).map(|r| model.score(&test.select_rows(&[r]))[0]).collect();
+    assert_bits_eq(&ns, &one_by_one, &format!("{what}: batch vs single-row scoring"));
 }
 
 #[test]
 fn expression_ns_scores_bit_identical() {
     let (train, test) = expression_surrogate();
     let config = FracConfig::expression().with_solver_mode(SolverMode::Strict);
-    check_pooled_matches_unpooled(&train, &test, &config, "expression");
+    check_strict_pooled_fit(&train, &test, &config, "expression");
 }
 
 #[test]
 fn snp_ns_scores_bit_identical() {
     let (train, test) = snp_surrogate();
     let config = FracConfig::snp().with_solver_mode(SolverMode::Strict);
-    check_pooled_matches_unpooled(&train, &test, &config, "snp");
+    check_strict_pooled_fit(&train, &test, &config, "snp");
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use frac_core::fault::INJECTED_PANIC;
 use frac_core::telemetry::{Stage, TelemetryReport, TelemetrySession};
-use frac_core::{FaultPlan, FracConfig, FracModel, TrainingPlan};
+use frac_core::{FaultPlan, FitOptions, FracConfig, FracModel, TrainingPlan};
 use frac_dataset::Dataset;
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
 use proptest::prelude::*;
@@ -127,8 +127,9 @@ proptest! {
 
         let session = TelemetrySession::start();
         prop_assert!(session.is_some(), "no other session may be live");
+        let options = FitOptions { faults: Some(&faults), ..FitOptions::default() };
         let (model, _) =
-            FracModel::fit_with_faults(&poisoned, &plan, &FracConfig::default(), &faults);
+            FracModel::fit_with(&poisoned, &plan, &FracConfig::default(), options);
         let ns = model.score(&poisoned);
         let report = session.map(TelemetrySession::finish).unwrap_or_default();
 

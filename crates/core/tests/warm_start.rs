@@ -13,7 +13,7 @@
 //! This file holds exactly one test: it reads the process-wide solver
 //! counters, which concurrent tests in the same binary would perturb.
 
-use frac_core::{DualCache, FracConfig, FracModel, RealModel, TrainingPlan};
+use frac_core::{DualCache, FitOptions, FracConfig, FracModel, RealModel, TrainingPlan};
 use frac_learn::solver::stats;
 use frac_learn::SvrConfig;
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
@@ -49,14 +49,16 @@ fn cached_refit_converges_in_fewer_epochs() {
 
     let mut cache = DualCache::default();
     stats::reset();
-    let (cold_model, _) = FracModel::fit_cached(&train, &plan, &config, &mut cache);
+    let options = FitOptions { cache: Some(&mut cache), ..FitOptions::default() };
+    let (cold_model, _) = FracModel::fit_with(&train, &plan, &config, options);
     let cold = stats::snapshot();
     assert!(!cache.is_empty(), "SVR fits must populate the dual cache");
     assert_eq!(cache.len(), train.n_features(), "one dual vector per target");
     assert!(cold.solves > 0 && cold.epochs > 0);
 
     stats::reset();
-    let (warm_model, _) = FracModel::fit_cached(&train, &plan, &config, &mut cache);
+    let options = FitOptions { cache: Some(&mut cache), ..FitOptions::default() };
+    let (warm_model, _) = FracModel::fit_with(&train, &plan, &config, options);
     let warm = stats::snapshot();
 
     assert_eq!(cold.solves, warm.solves, "same number of solves either way");

@@ -182,8 +182,8 @@ pub fn cv_classification_folds<T: ClassifierTrainer>(
 /// One-time price of folding a caller-supplied warm dual vector into the
 /// solver state: ~2 flops per augmented column per nonzero row. Charged
 /// here — once per dual vector handed in — not inside each solve, because
-/// the same cached duals (e.g. one `fit_cached` entry shared across
-/// ensemble members) seed every fold and the final full-data fit, and a
+/// the same cached duals (e.g. one `DualCache` entry of frac-core shared
+/// across ensemble members) seed every fold and the final full-data fit, and a
 /// per-solve charge would count that single fold-in many times over.
 fn warm_init_flops(nonzero_rows: u64, n_cols: usize) -> u64 {
     nonzero_rows * ((n_cols as u64) + 1) * 2
@@ -347,7 +347,7 @@ mod tests {
     fn warm_init_flops_charged_once_per_dual_vector() {
         // Regression test: a warm dual vector handed to the CV driver used
         // to be re-charged inside every fold solve (and again by the final
-        // full-data fit), so `fit_cached` reusing one cache entry across
+        // full-data fit), so a dual cache reusing one entry across
         // ensemble members inflated `TrainingCost.flops`. The fold-in must
         // now be priced exactly once per supplied vector.
         let n = 12;

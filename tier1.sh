@@ -7,7 +7,39 @@ cd "$(dirname "$0")"
 # The bare root build only covers the facade lib; the smoke below runs
 # the release binary, so build frac-cli explicitly too.
 cargo build --release -p frac -p frac-cli
-cargo test -q
+# Every test of the workspace: each crate's unit tests and integration
+# suites, among them these guarantees (further ones follow with the runs
+# that repeat their suites under other settings):
+# Fault-isolation guarantee (frac-core fault_injection): fit + score must
+# survive injected faults.
+# Crash-safety guarantee (frac-core crash_resume): resume after a kill at
+# any journal byte must be bitwise identical to an uninterrupted run.
+# Journal-integrity guarantee (frac-core journal_corruption): at every
+# truncation offset and every single-bit flip of a journal, opening it
+# restores exactly the intact records before the damage, and a damaged
+# header is refused without touching the file.
+# Shard-supervision guarantee (frac-core shard_supervision): crash-looping
+# and mid-run-killed workers must not lose or double-count a target, and
+# the merged model must be bitwise identical to a single-process run
+# (DESIGN.md §14).
+# Telemetry guarantee (frac-core telemetry): well-nested span trees under
+# injected faults, and traced runs bit-identical to untraced ones.
+# Serving guarantee (frac-core serve, serve_fuzz): daemon replies
+# bit-identical to `frac score`, malformed lines quarantined per-record,
+# overload shed with `busy`, hot reload validated off-path with rollback,
+# drain on shutdown — plus wire-protocol fuzzing (byte soup, oversized
+# lines, disconnects).
+# Out-of-core guarantee (frac-dataset fcb_corruption, frac-core
+# fcb_equivalence): FCB round trips are bit-exact and any corruption
+# (truncation, bit flips, foreign bytes) is rejected without a panic
+# (FORMATS.md §2); models fitted from a memory-mapped FCB file score
+# bit-identically to TSV-fitted ones at any thread count.
+# Model-file guarantee (frac-core model_corruption): every truncation
+# offset and every single-bit flip of a v5 model is rejected naming the
+# path, length-field bombs fail without allocating, byte soup never
+# panics, and the committed v4 text model scores bit-identically to the
+# same fit saved as v5 (FORMATS.md §3).
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 # frac-core and frac-learn deny unwrap/expect in non-test code via
 # crate-root cfg_attr (flags passed here would leak into dependency
@@ -26,55 +58,28 @@ cargo clippy -p frac-cli -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p frac -p frac-dataset -p frac-learn -p frac-projection -p frac-synth \
   -p frac-core -p frac-baselines -p frac-eval
-# Fault-isolation guarantee: fit + score must survive injected faults.
-cargo test -q -p frac-core --test fault_injection
-# Crash-safety guarantee: resume after a kill at any journal byte must be
-# bitwise identical to an uninterrupted run.
-cargo test -q -p frac-core --test crash_resume
-# Shard-supervision guarantee: crash-looping and mid-run-killed workers
-# must not lose or double-count a target, and the merged model must be
-# bitwise identical to a single-process run (DESIGN.md §14).
-cargo test -q -p frac-core --test shard_supervision
-# Release too: fast fits queue several journal records per write, and an
-# injected kill must still land on its exact record boundary.
+# Shard supervision in release too: fast fits queue several journal
+# records per write, and an injected kill must still land on its exact
+# record boundary.
 cargo test -q --release -p frac-core --test shard_supervision
-# Telemetry guarantee: well-nested span trees under injected faults, and
-# traced runs bit-identical to untraced ones.
-cargo test -q -p frac-core --test telemetry
 # SIMD-tier guarantee: the fast/strict equivalence suites must also pass
 # with vectorization force-disabled — the portable unrolled tier is a
 # first-class execution path, not just a fallback (DESIGN.md §12).
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-dataset --test kernel_equivalence
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test solver_equivalence
-# Strict-mode guarantee: the shared dual coordinate-descent loop under its
-# strict parameter set reproduces the original strict SVR/SVC solvers bit
-# for bit on every view type (DESIGN.md §6). Strict never touches the
-# dispatched kernels, so the result must not depend on the tier either.
-cargo test -q -p frac-learn --test dual_cd_reference
+# Strict-mode guarantee (frac-learn dual_cd_reference): the shared dual
+# coordinate-descent loop under its strict parameter set reproduces the
+# original strict SVR/SVC solvers bit for bit on every view type
+# (DESIGN.md §6). Strict never touches the dispatched kernels, so the
+# result must not depend on the tier either. The workspace run covers the
+# default tier.
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test dual_cd_reference
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-core --test pool_equivalence
-# Gram-strategy guarantee: the Gram dual loop must match the primal fast
-# path (objective ≤ 1e-8 relative) under the default tier and with
-# vectorization force-disabled (DESIGN.md §13).
-cargo test -q -p frac-learn --test gram_equivalence
+# Gram-strategy guarantee (frac-learn gram_equivalence): the Gram dual
+# loop must match the primal fast path (objective ≤ 1e-8 relative) under
+# the default tier (workspace run) and with vectorization force-disabled
+# (DESIGN.md §13).
 FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test gram_equivalence
-# Serving guarantee: daemon replies bit-identical to `frac score`,
-# malformed lines quarantined per-record, overload shed with `busy`,
-# hot reload validated off-path with rollback, drain on shutdown — plus
-# wire-protocol fuzzing (byte soup, oversized lines, disconnects).
-cargo test -q -p frac-core --test serve
-cargo test -q -p frac-core --test serve_fuzz
-# Out-of-core guarantee: FCB round trips are bit-exact and any corruption
-# (truncation, bit flips, foreign bytes) is rejected without a panic
-# (FORMATS.md §2); models fitted from a memory-mapped FCB file score
-# bit-identically to TSV-fitted ones at any thread count.
-cargo test -q -p frac-dataset --test fcb_corruption
-cargo test -q -p frac-core --test fcb_equivalence
-# Model-file guarantee: every truncation offset and every single-bit flip
-# of a v5 model is rejected naming the path, length-field bombs fail
-# without allocating, byte soup never panics, and the committed v4 text
-# model scores bit-identically to the same fit saved as v5 (FORMATS.md §3).
-cargo test -q -p frac-core --test model_corruption
 # Benchmark guarantee: fracbench is its own workspace, so the runs above
 # never build it. Its tests keep BENCHMARK.json in step with the metrics
 # the benchmark reports, and check its statistics and input generation.
