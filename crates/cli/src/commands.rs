@@ -685,8 +685,7 @@ fn score(args: ScoreArgs) -> Result<(), Error> {
 }
 
 /// Summarize a telemetry trace written by `train --telemetry`: per-stage
-/// time table with wall-clock shares, counters, the solver-stats delta,
-/// and the slowest targets.
+/// time table with wall-clock shares, counters, and the slowest targets.
 fn inspect_telemetry(path: &std::path::Path, top: usize) -> Result<(), Error> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let report =
@@ -721,16 +720,6 @@ fn inspect_telemetry(path: &std::path::Path, top: usize) -> Result<(), Error> {
     {
         println!("solver_strategy_names\t{names}");
     }
-    println!(
-        "solver\tsolves={} epochs={} visits={} dense_slots={} gram_solves={} gram_builds={} pack_reuses={}",
-        report.solver.solves,
-        report.solver.epochs,
-        report.solver.visits,
-        report.solver.dense_slots,
-        report.solver.gram_solves,
-        report.solver.gram_builds,
-        report.solver.pack_reuses
-    );
     let slow = report.slowest_targets(top);
     if !slow.is_empty() {
         println!();

@@ -7,9 +7,8 @@
 //! left is dropped with the NS sum renormalized over the survivors. Every
 //! one of those decisions is recorded here as a [`TargetHealth`] event inside
 //! the run's [`RunHealth`], which rides on
-//! [`crate::resources::ResourceReport`] and is surfaced by the CLI and
-//! `perfsnapshot`. A clean run produces no events — `RunHealth` stays empty
-//! and costs nothing.
+//! [`crate::resources::ResourceReport`] and is surfaced by the CLI. A clean
+//! run produces no events — `RunHealth` stays empty and costs nothing.
 
 use frac_dataset::QuarantineReason;
 

@@ -5,13 +5,19 @@
 //! *well-nested* span tree (every parent resolves, children stay inside
 //! their parent's extent and thread, sibling durations sum to at most the
 //! parent's), and recording never perturbs the model: scores are
-//! bit-identical with and without a live session.
+//! bit-identical with and without a live session. The work counters a
+//! session drains are the same at any thread count, and the solver
+//! counters account for every solve that stopped on its epoch cap.
 
 use frac_core::fault::INJECTED_PANIC;
-use frac_core::telemetry::{Stage, TelemetryReport, TelemetrySession};
-use frac_core::{FaultPlan, FitOptions, FracConfig, FracModel, TrainingPlan};
+use frac_core::telemetry::{Counter, Stage, TelemetryReport, TelemetrySession};
+use frac_core::{FaultPlan, FitOptions, FracConfig, FracModel, RealModel, TrainingPlan};
 use frac_dataset::Dataset;
-use frac_synth::{ExpressionConfig, ExpressionGenerator};
+use frac_learn::SvrConfig;
+use frac_synth::snp::CohortGroup;
+use frac_synth::{
+    ExpressionConfig, ExpressionGenerator, SnpConfig, SnpGenerator, SubpopulationMix,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Mutex, Once};
@@ -57,6 +63,26 @@ fn expr_data(n_rows: usize, n_features: usize, seed: u64) -> Dataset {
     })
     .generate(n_rows, 0, seed ^ 0x5EED);
     data
+}
+
+fn snp_data(n_rows: usize, n_snps: usize, seed: u64) -> Dataset {
+    let gen = SnpGenerator::new(SnpConfig {
+        n_snps,
+        ld_block_size: 4,
+        n_subpops: 2,
+        structure_seed: seed,
+        ..SnpConfig::default()
+    });
+    let groups = [CohortGroup { n: n_rows, mix: SubpopulationMix::uniform(2), is_case: false }];
+    gen.generate(&groups, seed ^ 0x5EED).0
+}
+
+/// Trace one plain fit and return the report its session drained.
+fn traced_fit(train: &Dataset, config: &FracConfig) -> TelemetryReport {
+    let session = TelemetrySession::start().expect("no other session is live");
+    let plan = TrainingPlan::full(train.n_features());
+    let _ = FracModel::fit(train, &plan, config);
+    session.finish()
 }
 
 /// Assert the span tree is well nested. Instant→ns truncation can make a
@@ -180,4 +206,51 @@ fn recording_never_perturbs_the_model() {
     // Every planned target shows up in the per-target attribution.
     assert_eq!(trace.target_totals().len(), plan.n_targets());
     assert_well_nested(&trace);
+}
+
+#[test]
+fn work_counters_do_not_depend_on_the_thread_count() {
+    let _serial = session_lock();
+    const WORK: [Counter; 4] =
+        [Counter::SolverSolves, Counter::SolverEpochs, Counter::SolverVisits, Counter::TreeNodes];
+    // SVR solves on an expression surrogate, trees on a SNP cohort.
+    for (what, train, config) in [
+        ("expression", expr_data(30, 10, 7), FracConfig::default()),
+        ("snp", snp_data(40, 16, 3), FracConfig::snp()),
+    ] {
+        let per_threads: Vec<[u64; 4]> = [1usize, 4]
+            .iter()
+            .map(|&threads| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                let report = pool.install(|| traced_fit(&train, &config));
+                WORK.map(|c| report.counter(c))
+            })
+            .collect();
+        assert_eq!(per_threads[0], per_threads[1], "{what}: work at 1 vs 4 threads");
+        let [solves, _, _, nodes] = per_threads[0];
+        assert!(solves + nodes > 0, "{what}: the fit did no counted work");
+    }
+}
+
+#[test]
+fn epoch_capped_solves_are_counted() {
+    let _serial = session_lock();
+    let train = expr_data(30, 10, 7);
+    let capped_config = FracConfig {
+        real_model: RealModel::Svr(SvrConfig {
+            max_epochs: 1,
+            tolerance: 1e-12,
+            ..SvrConfig::default()
+        }),
+        ..FracConfig::default()
+    };
+    let report = traced_fit(&train, &capped_config);
+    let solves = report.counter(Counter::SolverSolves);
+    assert!(solves > 0, "the fit ran no solves");
+    assert_eq!(report.counter(Counter::SolverCapped), solves, "one epoch meets no 1e-12 tolerance");
+
+    let report = traced_fit(&train, &FracConfig::default());
+    let solves = report.counter(Counter::SolverSolves);
+    assert!(solves > 0, "the fit ran no solves");
+    assert!(report.counter(Counter::SolverCapped) <= solves);
 }

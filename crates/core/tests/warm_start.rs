@@ -10,13 +10,30 @@
 //! the expected reduction is real but small, and we gate on coordinate
 //! visits (the work metric shrinking actually controls).
 //!
-//! This file holds exactly one test: it reads the process-wide solver
-//! counters, which concurrent tests in the same binary would perturb.
+//! This file holds exactly one test: it reads the solver counters from a
+//! telemetry session, and a process runs one session at a time.
 
+use frac_core::telemetry::{Counter, TelemetrySession};
 use frac_core::{DualCache, FitOptions, FracConfig, FracModel, RealModel, TrainingPlan};
-use frac_learn::solver::stats;
+use frac_dataset::Dataset;
 use frac_learn::SvrConfig;
 use frac_synth::{ExpressionConfig, ExpressionGenerator};
+
+/// `(solves, epochs, visits)` a session recorded around one cached fit.
+fn traced_fit(
+    train: &Dataset,
+    plan: &TrainingPlan,
+    config: &FracConfig,
+    cache: &mut DualCache,
+) -> (FracModel, [u64; 3]) {
+    let session = TelemetrySession::start().expect("no other session is live");
+    let options = FitOptions { cache: Some(cache), ..FitOptions::default() };
+    let (model, _) = FracModel::fit_with(train, plan, config, options);
+    let report = session.finish();
+    let work = [Counter::SolverSolves, Counter::SolverEpochs, Counter::SolverVisits]
+        .map(|c| report.counter(c));
+    (model, work)
+}
 
 #[test]
 fn cached_refit_converges_in_fewer_epochs() {
@@ -48,31 +65,25 @@ fn cached_refit_converges_in_fewer_epochs() {
     };
 
     let mut cache = DualCache::default();
-    stats::reset();
-    let options = FitOptions { cache: Some(&mut cache), ..FitOptions::default() };
-    let (cold_model, _) = FracModel::fit_with(&train, &plan, &config, options);
-    let cold = stats::snapshot();
+    let (cold_model, [cold_solves, cold_epochs, cold_visits]) =
+        traced_fit(&train, &plan, &config, &mut cache);
     assert!(!cache.is_empty(), "SVR fits must populate the dual cache");
     assert_eq!(cache.len(), train.n_features(), "one dual vector per target");
-    assert!(cold.solves > 0 && cold.epochs > 0);
+    assert!(cold_solves > 0 && cold_epochs > 0);
 
-    stats::reset();
-    let options = FitOptions { cache: Some(&mut cache), ..FitOptions::default() };
-    let (warm_model, _) = FracModel::fit_with(&train, &plan, &config, options);
-    let warm = stats::snapshot();
+    let (warm_model, [warm_solves, warm_epochs, warm_visits]) =
+        traced_fit(&train, &plan, &config, &mut cache);
 
-    assert_eq!(cold.solves, warm.solves, "same number of solves either way");
+    assert_eq!(cold_solves, warm_solves, "same number of solves either way");
     assert!(
-        warm.visits < cold.visits,
-        "warm-started refit should visit fewer coordinates ({} warm vs {} cold)",
-        warm.visits,
-        cold.visits
+        warm_visits < cold_visits,
+        "warm-started refit should visit fewer coordinates ({warm_visits} warm vs \
+         {cold_visits} cold)"
     );
     assert!(
-        warm.epochs <= cold.epochs,
-        "warm-started refit should not sweep more epochs ({} warm vs {} cold)",
-        warm.epochs,
-        cold.epochs
+        warm_epochs <= cold_epochs,
+        "warm-started refit should not sweep more epochs ({warm_epochs} warm vs \
+         {cold_epochs} cold)"
     );
 
     // The warm refit converges to the same solutions to solver tolerance.

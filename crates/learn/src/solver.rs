@@ -35,13 +35,12 @@
 //!   `crates/learn/tests/dual_cd_reference.rs` pins them against a
 //!   standalone copy of the original strict solvers.
 //!
-//! [`stats`] exposes process-wide counters (solves, epochs, coordinate
-//! visits, dense sweep slots) that every solve bumps once; the
-//! `perfsnapshot` bench resets and snapshots them to report
-//! epochs-to-converge and active-set occupancy per model family.
+//! Every solve reports its work to the run's telemetry session once, off
+//! the inner loop: one `solver_solves`, its epochs and coordinate visits,
+//! and one `solver_capped` when it stopped on its epoch cap before meeting
+//! the tolerance (see [`crate::telemetry::Counter`]).
 
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::budget::TargetBudget;
 use crate::fault::TrainError;
@@ -151,7 +150,6 @@ impl SolverRows for Sequential<'_> {
 /// (target, fold) problem then share one gather.
 pub(crate) fn pack_for_solve(x: &dyn DesignView) -> Option<Rc<PackedDesign>> {
     if let Some(hit) = pack_cache::lookup(x.n_rows(), x.n_cols()) {
-        stats::record_pack_reuse();
         return Some(hit);
     }
     let rc = Rc::new(PackedDesign::from_view(x)?);
@@ -173,7 +171,6 @@ pub(crate) fn gram_for_solve(
         return Ok((hit, false));
     }
     let gram = Rc::new(GramMatrix::build(packed, bias_sq, budget)?);
-    stats::record_gram_build();
     pack_cache::store_gram(packed, bias_sq, &gram);
     Ok((gram, true))
 }
@@ -265,8 +262,8 @@ pub struct GramPolicy {
     /// amortizes. Default 0.25: per-visit arithmetic alone would put the
     /// crossover near d ≈ n, but a Gram visit whose Newton step is null
     /// costs O(1) (gradient read, no row update) where the primal loop
-    /// still pays its O(d) dot, so the measured crossover
-    /// (`BENCH_gram.json` d/n sweep) sits well below 1.
+    /// still pays its O(d) dot, so the crossover measured by a d/n sweep
+    /// of solve time sits well below 1.
     pub crossover_ratio: f64,
 }
 
@@ -789,8 +786,19 @@ struct Sweep {
     strict: bool,
 }
 
-/// The dual coordinate-descent loop: returns the duals, epochs run and
-/// coordinates visited. The budget is polled once per epoch.
+/// The work one [`dual_cd`] run did.
+pub(crate) struct Work {
+    /// Epochs run.
+    pub epochs: u64,
+    /// Coordinates whose gradient was evaluated (`epochs · n` under
+    /// strict; fewer under shrinking).
+    pub visits: u64,
+    /// The loop stopped on `max_epochs` without meeting the tolerance.
+    pub capped: bool,
+}
+
+/// The dual coordinate-descent loop: returns the duals and the [`Work`]
+/// it took. The budget is polled once per epoch.
 fn dual_cd<L: Loss, G: GradientSource>(
     loss: &L,
     src: &mut G,
@@ -798,7 +806,7 @@ fn dual_cd<L: Loss, G: GradientSource>(
     warm: Option<&[f64]>,
     sweep: &Sweep,
     budget: &TargetBudget,
-) -> Result<(Vec<f64>, u64, u64), TrainError> {
+) -> Result<(Vec<f64>, Work), TrainError> {
     let mut alpha = vec![0.0f64; n];
     if let Some(warm) = warm.filter(|_| !sweep.strict) {
         debug_assert_eq!(warm.len(), n, "warm-start dual length must match rows");
@@ -817,6 +825,7 @@ fn dual_cd<L: Loss, G: GradientSource>(
     let mut shrink_thr = f64::INFINITY;
     let mut epochs = 0u64;
     let mut visits = 0u64;
+    let mut converged = false;
     while epochs < sweep.max_epochs {
         budget.check()?;
         let mut rng = StdRng::seed_from_u64(derive_seed(sweep.seed, epochs));
@@ -856,6 +865,7 @@ fn dual_cd<L: Loss, G: GradientSource>(
         epochs += 1;
         if max_violation < sweep.tolerance {
             if active.len() == n {
+                converged = true;
                 break;
             }
             // Unshrink and recheck: restore every coordinate and run one
@@ -866,7 +876,7 @@ fn dual_cd<L: Loss, G: GradientSource>(
             shrink_thr = max_violation;
         }
     }
-    Ok((alpha, epochs, visits))
+    Ok((alpha, Work { epochs, visits, capped: !converged }))
 }
 
 /// How a training call's rows reach the loop, chosen once per call so
@@ -932,11 +942,8 @@ pub(crate) struct DualSolve {
     pub w_bias: f64,
     /// Final duals, one per row.
     pub alpha: Vec<f64>,
-    /// Epochs run.
-    pub epochs: u64,
-    /// Coordinates whose gradient was evaluated (`epochs · n` under
-    /// strict; fewer under shrinking).
-    pub visits: u64,
+    /// The loop's work, reported to telemetry by [`solve`].
+    pub work: Work,
     /// `STRATEGY_*` bits of the source used (0 under strict).
     pub path_bits: u64,
     /// Flops performed, priced per source: O(d) per primal visit, O(n)
@@ -946,7 +953,7 @@ pub(crate) struct DualSolve {
 }
 
 /// Run one dual solve of `loss` over `x` through `rows`, and record its
-/// solver stats and telemetry counters. The caller holds the
+/// work in the telemetry counters. The caller holds the
 /// [`telemetry::Stage::Solve`] span, which also covers [`Rows::prepare`].
 pub(crate) fn solve<L: Loss>(
     loss: &L,
@@ -979,7 +986,7 @@ pub(crate) fn solve<L: Loss>(
         )?,
         Rows::Gram(p, q) => {
             let mut src = GramRows { q, qa: vec![0.0; n] };
-            let (alpha, epochs, visits) = dual_cd(loss, &mut src, n, warm, &sweep, budget)?;
+            let (alpha, work) = dual_cd(loss, &mut src, n, warm, &sweep, budget)?;
             // Rebuild the primal once: w = Σ αᵢ sᵢ xᵢ over the support.
             let mut w = vec![0.0f64; d];
             let mut w_bias = 0.0f64;
@@ -992,16 +999,16 @@ pub(crate) fn solve<L: Loss>(
                     nnz += 1;
                 }
             }
-            stats::record_gram_solve();
             // Per visit: O(1) gradient + O(n+1) row-of-Q axpy (~4 flops
             // per entry); plus the O(nnz·d) rebuild.
-            let flops = visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
-            DualSolve { w, w_bias, alpha, epochs, visits, path_bits: STRATEGY_GRAM_CODE, flops }
+            let flops = work.visits * ((n as u64) + 1) * 4 + nnz * ((d as u64) + 1) * 2;
+            DualSolve { w, w_bias, alpha, work, path_bits: STRATEGY_GRAM_CODE, flops }
         }
     };
-    stats::record(out.epochs, out.visits, out.epochs * n as u64);
-    telemetry::counter_add(telemetry::Counter::SolverEpochs, out.epochs);
-    telemetry::counter_add(telemetry::Counter::SolverVisits, out.visits);
+    telemetry::counter_add(telemetry::Counter::SolverSolves, 1);
+    telemetry::counter_add(telemetry::Counter::SolverEpochs, out.work.epochs);
+    telemetry::counter_add(telemetry::Counter::SolverVisits, out.work.visits);
+    telemetry::counter_add(telemetry::Counter::SolverCapped, u64::from(out.work.capped));
     if out.path_bits != 0 {
         telemetry::counter_add(telemetry::Counter::SolverStrategy, out.path_bits);
     }
@@ -1019,106 +1026,11 @@ fn run_primal<L: Loss, R: SolverRows + ?Sized>(
     path_bits: u64,
 ) -> Result<DualSolve, TrainError> {
     let mut src = Primal::new(rows, bias_sq);
-    let (alpha, epochs, visits) = dual_cd(loss, &mut src, rows.n_rows(), warm, sweep, budget)?;
+    let (alpha, work) = dual_cd(loss, &mut src, rows.n_rows(), warm, sweep, budget)?;
     // Every visit touches its (d+1) augmented columns twice (gradient +
     // update), ~4 flops each.
-    let flops = visits * ((rows.n_cols() as u64) + 1) * 4;
-    Ok(DualSolve { w: src.w, w_bias: src.w_bias, alpha, epochs, visits, path_bits, flops })
-}
-
-/// Process-wide solver instrumentation (see module docs).
-pub mod stats {
-    use super::*;
-
-    static SOLVES: AtomicU64 = AtomicU64::new(0);
-    static EPOCHS: AtomicU64 = AtomicU64::new(0);
-    static VISITS: AtomicU64 = AtomicU64::new(0);
-    static DENSE_SLOTS: AtomicU64 = AtomicU64::new(0);
-    static GRAM_SOLVES: AtomicU64 = AtomicU64::new(0);
-    static GRAM_BUILDS: AtomicU64 = AtomicU64::new(0);
-    static PACK_REUSES: AtomicU64 = AtomicU64::new(0);
-
-    /// A snapshot of the solver counters.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct SolverStats {
-        /// Binary subproblems solved (one per SVR fit, one per SVC class).
-        pub solves: u64,
-        /// Coordinate-descent epochs run, summed over solves.
-        pub epochs: u64,
-        /// Coordinates actually visited (gradient evaluated), summed.
-        pub visits: u64,
-        /// Coordinates a dense (non-shrinking) sweep would have visited:
-        /// `Σ epochs · n`. `visits / dense_slots` is the mean active-set
-        /// occupancy — 1.0 for the strict path, < 1 under shrinking.
-        pub dense_slots: u64,
-        /// Solves that ran the Gram-matrix dual loop.
-        pub gram_solves: u64,
-        /// Gram matrices actually built (< `gram_solves` when the pack
-        /// cache shares one Q across members / classes / the d/n sweep).
-        pub gram_builds: u64,
-        /// Solves that reused a cached [`frac_dataset::PackedDesign`]
-        /// gather instead of re-gathering the design.
-        pub pack_reuses: u64,
-    }
-
-    impl SolverStats {
-        /// Mean active-set occupancy (`visits / dense_slots`), NaN when no
-        /// sweeps ran.
-        pub fn occupancy(&self) -> f64 {
-            if self.dense_slots == 0 {
-                return f64::NAN;
-            }
-            self.visits as f64 / self.dense_slots as f64
-        }
-    }
-
-    /// Record one completed solve. Called once per binary subproblem, so
-    /// the atomics are far off the inner loop.
-    pub fn record(epochs: u64, visits: u64, dense_slots: u64) {
-        SOLVES.fetch_add(1, Ordering::Relaxed);
-        EPOCHS.fetch_add(epochs, Ordering::Relaxed);
-        VISITS.fetch_add(visits, Ordering::Relaxed);
-        DENSE_SLOTS.fetch_add(dense_slots, Ordering::Relaxed);
-    }
-
-    /// Record one solve that ran the Gram-matrix dual loop.
-    pub fn record_gram_solve() {
-        GRAM_SOLVES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one Gram matrix actually built (cache misses only).
-    pub fn record_gram_build() {
-        GRAM_BUILDS.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one solve that reused a cached design gather.
-    pub fn record_pack_reuse() {
-        PACK_REUSES.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Zero all counters (bench harness, before a timed region).
-    pub fn reset() {
-        SOLVES.store(0, Ordering::Relaxed);
-        EPOCHS.store(0, Ordering::Relaxed);
-        VISITS.store(0, Ordering::Relaxed);
-        DENSE_SLOTS.store(0, Ordering::Relaxed);
-        GRAM_SOLVES.store(0, Ordering::Relaxed);
-        GRAM_BUILDS.store(0, Ordering::Relaxed);
-        PACK_REUSES.store(0, Ordering::Relaxed);
-    }
-
-    /// Read the counters.
-    pub fn snapshot() -> SolverStats {
-        SolverStats {
-            solves: SOLVES.load(Ordering::Relaxed),
-            epochs: EPOCHS.load(Ordering::Relaxed),
-            visits: VISITS.load(Ordering::Relaxed),
-            dense_slots: DENSE_SLOTS.load(Ordering::Relaxed),
-            gram_solves: GRAM_SOLVES.load(Ordering::Relaxed),
-            gram_builds: GRAM_BUILDS.load(Ordering::Relaxed),
-            pack_reuses: PACK_REUSES.load(Ordering::Relaxed),
-        }
-    }
+    let flops = work.visits * ((rows.n_cols() as u64) + 1) * 4;
+    Ok(DualSolve { w: src.w, w_bias: src.w_bias, alpha, work, path_bits, flops })
 }
 
 #[cfg(test)]
@@ -1128,19 +1040,6 @@ mod tests {
     #[test]
     fn default_mode_is_fast() {
         assert_eq!(SolverMode::default(), SolverMode::Fast);
-    }
-
-    #[test]
-    fn occupancy_ratio() {
-        let s = stats::SolverStats {
-            solves: 1,
-            epochs: 2,
-            visits: 30,
-            dense_slots: 100,
-            ..Default::default()
-        };
-        assert!((s.occupancy() - 0.3).abs() < 1e-12);
-        assert!(stats::SolverStats::default().occupancy().is_nan());
     }
 
     #[test]
@@ -1189,7 +1088,7 @@ mod tests {
         // Large n always falls back regardless of width.
         assert!(!GramPolicy::default().should_use_gram(100_000, usize::MAX / 100_000));
         // The shipped default: 1 MiB budget (n ≤ 362), measured crossover
-        // ratio 0.25 (BENCH_gram.json d/n sweep).
+        // ratio 0.25 (a d/n sweep of solve time).
         let default = GramPolicy::default();
         assert_eq!(default.cache_budget_bytes, 1 << 20);
         assert_eq!(default.crossover_ratio, 0.25);

@@ -29,10 +29,9 @@
 //!
 //! ## Sessions
 //!
-//! At most one session is active per process at a time (the same
-//! convention as [`crate::solver::stats`], which the report folds in as a
-//! delta): [`TelemetrySession::start`] returns `None` while another
-//! session is live. Concurrent *untraced* runs are unaffected — they see
+//! At most one session is active per process at a time:
+//! [`TelemetrySession::start`] returns `None` while another session is
+//! live. Concurrent *untraced* runs are unaffected — they see
 //! the disabled fast path... unless they overlap a traced run, in which
 //! case their spans are attributed to the traced session; trace one run
 //! at a time.
@@ -41,10 +40,9 @@
 //!
 //! Building with the `telemetry-off` cargo feature collapses every probe
 //! to a true no-op (no atomic load, nothing linked); sessions still
-//! resolve but their reports carry only the wall clock and solver-stats
-//! delta. `tier1.sh` builds the CLI both ways.
+//! resolve but their reports carry only the wall clock. `tier1.sh` builds
+//! the CLI both ways.
 
-use crate::solver::stats::{self, SolverStats};
 use std::fmt;
 
 #[cfg(not(feature = "telemetry-off"))]
@@ -135,10 +133,16 @@ impl fmt::Display for Stage {
 /// with the span buffer, so bumping one costs an array add.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
+    /// Binary dual subproblems solved (one per SVR fit, one per SVC
+    /// class).
+    SolverSolves,
     /// Coordinate-descent epochs completed (SVR + SVC, all solves).
     SolverEpochs,
     /// Dual coordinates visited (gradient evaluated).
     SolverVisits,
+    /// Solves that stopped on their epoch cap before the tolerance was
+    /// met (at most [`Counter::SolverSolves`]).
+    SolverCapped,
     /// Decision-tree nodes grown (splits + leaves).
     TreeNodes,
     /// Bytes of journal record bodies serialized.
@@ -172,13 +176,15 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants (report array size).
-pub const N_COUNTERS: usize = 11;
+pub const N_COUNTERS: usize = 13;
 
 impl Counter {
     /// Every counter, in declaration order.
     pub const ALL: [Counter; N_COUNTERS] = [
+        Counter::SolverSolves,
         Counter::SolverEpochs,
         Counter::SolverVisits,
+        Counter::SolverCapped,
         Counter::TreeNodes,
         Counter::JournalBytes,
         Counter::EncodedCells,
@@ -193,8 +199,10 @@ impl Counter {
     /// Stable serialization name.
     pub fn as_str(self) -> &'static str {
         match self {
+            Counter::SolverSolves => "solver_solves",
             Counter::SolverEpochs => "solver_epochs",
             Counter::SolverVisits => "solver_visits",
+            Counter::SolverCapped => "solver_capped",
             Counter::TreeNodes => "tree_nodes",
             Counter::JournalBytes => "journal_bytes",
             Counter::EncodedCells => "encoded_cells",
@@ -212,20 +220,9 @@ impl Counter {
         Counter::ALL.iter().copied().find(|c| c.as_str() == s)
     }
 
+    /// Position in [`Counter::ALL`] (declaration order).
     fn index(self) -> usize {
-        match self {
-            Counter::SolverEpochs => 0,
-            Counter::SolverVisits => 1,
-            Counter::TreeNodes => 2,
-            Counter::JournalBytes => 3,
-            Counter::EncodedCells => 4,
-            Counter::KernelTier => 5,
-            Counter::SolverStrategy => 6,
-            Counter::ServeRequests => 7,
-            Counter::ServeShed => 8,
-            Counter::ServeQuarantined => 9,
-            Counter::ServeTimeouts => 10,
-        }
+        self as usize
     }
 
     /// Combine an accumulated value with a new contribution: addition for
@@ -284,18 +281,14 @@ pub struct StageTotal {
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// The drained output of one telemetry session: every span, the counter
-/// totals, the [`SolverStats`] delta over the session, the session wall
-/// clock, and free-form annotations (the CLI folds the run's
-/// `RunHealth` summary in here, completing the unification of the three
-/// pre-existing instrumentation channels).
+/// totals, the session wall clock, and free-form annotations (the CLI
+/// folds the run's `RunHealth` summary in here).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryReport {
     /// Every closed span, grouped by recording thread (drain order).
     pub spans: Vec<SpanRecord>,
     /// Counter totals, indexed as [`Counter::ALL`].
     pub counters: [u64; N_COUNTERS],
-    /// Solver-stats delta (snapshot at finish minus snapshot at start).
-    pub solver: SolverStats,
     /// Session wall clock, nanoseconds.
     pub wall_ns: u64,
     /// Free-form `(key, value)` annotations, e.g. `("health", …)`.
@@ -369,16 +362,6 @@ impl TelemetryReport {
         out.push_str("# frac telemetry v1\n");
         out.push_str("# span\tid\tparent\tthread\ttarget\tstage\tstart_ns\tdur_ns\n");
         out.push_str(&format!("wall\t{}\n", self.wall_ns));
-        out.push_str(&format!(
-            "solver\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            self.solver.solves,
-            self.solver.epochs,
-            self.solver.visits,
-            self.solver.dense_slots,
-            self.solver.gram_solves,
-            self.solver.gram_builds,
-            self.solver.pack_reuses
-        ));
         for c in Counter::ALL {
             out.push_str(&format!("counter\t{}\t{}\n", c.as_str(), self.counter(c)));
         }
@@ -422,21 +405,10 @@ impl TelemetryReport {
                     report.wall_ns = parse_u64(v, "wall_ns")?;
                 }
                 "solver" => {
-                    // 5 fields is the pre-gram layout; absent fields stay 0.
+                    // Legacy record of older traces (4 or 7 fields), read
+                    // and ignored: the solver counters are `counter` lines.
                     if fields.len() != 5 && fields.len() != 8 {
                         return Err(format!("line {lineno}: solver wants 4 or 7 fields"));
-                    }
-                    report.solver = SolverStats {
-                        solves: parse_u64(fields[1], "solves")?,
-                        epochs: parse_u64(fields[2], "epochs")?,
-                        visits: parse_u64(fields[3], "visits")?,
-                        dense_slots: parse_u64(fields[4], "dense_slots")?,
-                        ..SolverStats::default()
-                    };
-                    if fields.len() == 8 {
-                        report.solver.gram_solves = parse_u64(fields[5], "gram_solves")?;
-                        report.solver.gram_builds = parse_u64(fields[6], "gram_builds")?;
-                        report.solver.pack_reuses = parse_u64(fields[7], "pack_reuses")?;
                     }
                 }
                 "counter" => {
@@ -482,17 +454,6 @@ impl TelemetryReport {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
-        out.push_str(&format!(
-            "  \"solver\": {{\"solves\": {}, \"epochs\": {}, \"visits\": {}, \"dense_slots\": {}, \
-             \"gram_solves\": {}, \"gram_builds\": {}, \"pack_reuses\": {}}},\n",
-            self.solver.solves,
-            self.solver.epochs,
-            self.solver.visits,
-            self.solver.dense_slots,
-            self.solver.gram_solves,
-            self.solver.gram_builds,
-            self.solver.pack_reuses
-        ));
         out.push_str("  \"counters\": {");
         for (i, c) in Counter::ALL.iter().enumerate() {
             if i > 0 {
@@ -861,7 +822,6 @@ pub fn counter_add(counter: Counter, n: u64) {
 /// just disables recording and discards the data.
 pub struct TelemetrySession {
     start_instant: Instant,
-    solver_start: SolverStats,
     finished: bool,
 }
 
@@ -879,19 +839,11 @@ impl TelemetrySession {
                 recorder::SESSION.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
             *recorder::lock_global() =
                 Some(recorder::Global { session, base, sinks: Vec::new() });
-            Some(TelemetrySession {
-                start_instant: base,
-                solver_start: stats::snapshot(),
-                finished: false,
-            })
+            Some(TelemetrySession { start_instant: base, finished: false })
         }
         #[cfg(feature = "telemetry-off")]
         {
-            Some(TelemetrySession {
-                start_instant: Instant::now(),
-                solver_start: stats::snapshot(),
-                finished: false,
-            })
+            Some(TelemetrySession { start_instant: Instant::now(), finished: false })
         }
     }
 
@@ -899,16 +851,6 @@ impl TelemetrySession {
     pub fn finish(mut self) -> TelemetryReport {
         self.finished = true;
         let wall_ns = self.start_instant.elapsed().as_nanos() as u64;
-        let after = stats::snapshot();
-        let solver = SolverStats {
-            solves: after.solves.wrapping_sub(self.solver_start.solves),
-            epochs: after.epochs.wrapping_sub(self.solver_start.epochs),
-            visits: after.visits.wrapping_sub(self.solver_start.visits),
-            dense_slots: after.dense_slots.wrapping_sub(self.solver_start.dense_slots),
-            gram_solves: after.gram_solves.wrapping_sub(self.solver_start.gram_solves),
-            gram_builds: after.gram_builds.wrapping_sub(self.solver_start.gram_builds),
-            pack_reuses: after.pack_reuses.wrapping_sub(self.solver_start.pack_reuses),
-        };
         #[cfg(not(feature = "telemetry-off"))]
         {
             recorder::ENABLED.store(false, std::sync::atomic::Ordering::SeqCst);
@@ -926,11 +868,11 @@ impl TelemetrySession {
                     }
                 }
             }
-            TelemetryReport { spans, counters, solver, wall_ns, notes: Vec::new() }
+            TelemetryReport { spans, counters, wall_ns, notes: Vec::new() }
         }
         #[cfg(feature = "telemetry-off")]
         {
-            TelemetryReport { solver, wall_ns, ..TelemetryReport::default() }
+            TelemetryReport { wall_ns, ..TelemetryReport::default() }
         }
     }
 }
@@ -1092,16 +1034,7 @@ mod tests {
                     dur_ns: 100,
                 },
             ],
-            counters: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-            solver: SolverStats {
-                solves: 9,
-                epochs: 8,
-                visits: 7,
-                dense_slots: 6,
-                gram_solves: 5,
-                gram_builds: 4,
-                pack_reuses: 3,
-            },
+            counters: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13],
             wall_ns: 12345,
             notes: vec![("health".into(), "all 4 targets fitted cleanly".into())],
         };
@@ -1122,17 +1055,20 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_legacy_solver_line() {
-        let parsed =
-            TelemetryReport::parse_tsv("# frac telemetry v1\nsolver\t1\t2\t3\t4\n").unwrap();
-        assert_eq!(
-            (parsed.solver.solves, parsed.solver.epochs, parsed.solver.visits),
-            (1, 2, 3)
-        );
-        assert_eq!(
-            (parsed.solver.gram_solves, parsed.solver.gram_builds, parsed.solver.pack_reuses),
-            (0, 0, 0)
-        );
+    fn parse_ignores_both_legacy_solver_layouts() {
+        // Traces written before the solver counters became `counter`
+        // records carry a `solver` line: 4 fields before the Gram loop,
+        // 7 after.
+        let header = "# frac telemetry v1\nwall\t5\ncounter\tsolver_epochs\t2\n";
+        for legacy in ["solver\t1\t2\t3\t4\n", "solver\t9\t8\t7\t6\t5\t4\t3\n"] {
+            let parsed = TelemetryReport::parse_tsv(&format!("{header}{legacy}")).unwrap();
+            let mut expected = TelemetryReport { wall_ns: 5, ..TelemetryReport::default() };
+            expected.counters[Counter::SolverEpochs.index()] = 2;
+            assert_eq!(parsed, expected, "{legacy:?}");
+        }
+        for bad in ["solver\n", "solver\t1\t2\t3\n", "solver\t1\t2\t3\t4\t5\n"] {
+            assert!(TelemetryReport::parse_tsv(&format!("{header}{bad}")).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -1194,8 +1130,9 @@ mod tests {
         for s in Stage::ALL {
             assert_eq!(Stage::parse(s.as_str()), Some(s));
         }
-        for c in Counter::ALL {
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
             assert_eq!(Counter::parse(c.as_str()), Some(c));
+            assert_eq!(c.index(), i, "{c:?} is out of declaration order in ALL");
         }
         assert_eq!(Stage::parse("nope"), None);
     }

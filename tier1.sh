@@ -84,6 +84,31 @@ FRAC_KERNEL_TIER=unrolled cargo test -q -p frac-learn --test gram_equivalence
 # never build it. Its tests keep BENCHMARK.json in step with the metrics
 # the benchmark reports, and check its statistics and input generation.
 cargo test --release --offline --manifest-path fracbench/Cargo.toml
+# Work-counter gate: one traced fracbench run per fitting workload, its
+# deterministic work counters compared exactly against
+# tests/work_counters.tsv. They depend on neither the kernel tier nor the
+# thread count (frac-core telemetry pins the latter), so any difference is
+# a change in the work a fit does. No wall clock is gated. The run must
+# also be correct: every traced pass scored bit for bit like the untraced
+# ones, and the counters repeated across traced passes.
+work_status=0
+for workload in expr_full snp_filter_ens; do
+  result=$(cargo run -q --release --offline --manifest-path fracbench/Cargo.toml -- \
+    --workload "$workload" --seed 3 --seconds 1 --trace 1 | tail -n 1)
+  case "$result" in
+    '{"correct": true,'*) ;;
+    *) echo "work gate: $workload run not correct: ${result:0:80}"; work_status=1;;
+  esac
+  while IFS=$'\t' read -r name metric expected; do
+    [ "$name" = "$workload" ] || continue
+    actual=$(printf '%s' "$result" | grep -o "\"$metric\": {\"value\": [^,]*" | sed 's/.*: //; s/\.0$//') || true
+    if [ "$actual" != "$expected" ]; then
+      echo "work counter $workload $metric: got ${actual:-nothing}, expected $expected"
+      work_status=1
+    fi
+  done < tests/work_counters.tsv
+done
+[ "$work_status" -eq 0 ]
 
 # Deadline smoke: a 2s wall-clock budget on the SNP surrogate must exit 0
 # within the budget plus slack, save a scored model, print a health
@@ -155,7 +180,7 @@ cmp "$smoke_dir/score-fcb.tsv" "$smoke_dir/score-tsv.tsv"
 grep -q "^format	fracmodel v5" "$smoke_dir/model-info.log"
 
 # The telemetry-off build must compile every probe away and still pass
-# the same smoke (its trace degenerates to wall clock + solver delta).
+# the same smoke (its trace degenerates to wall clock only).
 cargo build --release -p frac-cli --features telemetry-off
 rm -rf "$smoke_dir"/*
 run_smoke
